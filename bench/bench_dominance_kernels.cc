@@ -1,6 +1,6 @@
-// Microbenchmark of the rank-compressed columnar dominance kernels
-// (skyline/dominance_kernels.h) against their scalar double-precision
-// oracles (skyline/dominance.h).
+// Microbenchmark of the columnar batch dominance kernels
+// (skyline/dominance_kernels.h) against the row-major pairwise kernels
+// (skyline/dominance.h) they replace in the algorithms.
 //
 // Workload: n×n all-pairs dominance over --dims-dimensional independent
 // data (n=1024 ⇒ ~1M comparisons, the acceptance workload). Each shape is
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const int dims = static_cast<int>(flags.GetInt("dims", 16));
   const int reps = static_cast<int>(flags.GetInt("reps", 5));
   const uint64_t seed = flags.GetInt("seed", 1);
-  std::printf("=== Dominance kernels: scalar vs rank-compressed ===\n");
+  std::printf("=== Dominance kernels: pairwise rows vs columnar batch ===\n");
   std::printf("n=%zu objects, d=%d dims, %zu pairwise comparisons, best of "
               "%d reps\n\n",
               n, dims, n * n, reps);
@@ -65,22 +65,13 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Pairwise ranked: same shape, integer ranks, branch-free accumulation.
-  const double ranked_pair_sec = best_of([&] {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        sink += static_cast<uint64_t>(CompareRanked(view, i, j, full));
-      }
-    }
-  });
-
   // Batch flags: one probe row against the whole block per outer object.
   const RankedBlock block = RankedBlock::Gather(view, full, ids);
-  std::vector<uint32_t> probe(static_cast<size_t>(block.num_packed_dims()));
+  std::vector<double> probe(static_cast<size_t>(block.num_packed_dims()));
   std::vector<uint8_t> flags_out(n);
   const double batch_flags_sec = best_of([&] {
     for (size_t i = 0; i < n; ++i) {
-      block.GatherProbe(static_cast<ObjectId>(i), probe.data());
+      block.GatherProbe(data.Row(static_cast<ObjectId>(i)), probe.data());
       BlockDominatedFlags(block, probe.data(), flags_out.data());
       sink += flags_out[i];
     }
@@ -124,7 +115,6 @@ int main(int argc, char** argv) {
         .AddDouble(baseline / sec, 2);
   };
   add("scalar CompareRows", scalar_sec, scalar_sec);
-  add("ranked CompareRanked", ranked_pair_sec, scalar_sec);
   add("batch BlockDominatedFlags", batch_flags_sec, scalar_sec);
   add("batch DominatedBitmap", batch_bitmap_sec, scalar_sec);
   add("scalar DominanceMask matrix", scalar_matrix_sec, scalar_matrix_sec);

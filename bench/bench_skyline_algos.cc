@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the single-space skyline substrate:
-// BNL vs SFS vs D&C vs LESS across the three distributions and sizes, and
-// the Ranked* columnar fast paths against their scalar twins.
+// BNL vs SFS vs D&C vs LESS vs Index vs Bitmap vs BBS across the three
+// distributions and sizes, plus the cost of the columnar view they share.
 // (Substrate ablation — the related-work algorithms the paper builds on.)
 #include <benchmark/benchmark.h>
 
@@ -23,28 +23,11 @@ Dataset MakeData(Distribution distribution, size_t n, int d) {
   return GenerateSynthetic(spec);
 }
 
+// The RankedView is built once per dataset outside the timed region (that
+// is how the pipelines share it); BM_RankedViewBuild below prices the
+// transpose itself.
 void RunSkyline(benchmark::State& state, Distribution distribution,
                 SkylineAlgorithm algorithm) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int d = static_cast<int>(state.range(1));
-  const Dataset data = MakeData(distribution, n, d);
-  size_t skyline_size = 0;
-  for (auto _ : state) {
-    std::vector<ObjectId> skyline =
-        ComputeSkyline(data, data.full_mask(), algorithm);
-    skyline_size = skyline.size();
-    benchmark::DoNotOptimize(skyline);
-  }
-  state.counters["skyline"] = static_cast<double>(skyline_size);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-
-// Ranked twin: the RankedView is built once per dataset outside the timed
-// region (that is how the pipelines amortize it); BM_RankedViewBuild below
-// prices the construction itself.
-void RunSkylineRanked(benchmark::State& state, Distribution distribution,
-                      SkylineAlgorithm algorithm) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int d = static_cast<int>(state.range(1));
   const Dataset data = MakeData(distribution, n, d);
@@ -52,7 +35,7 @@ void RunSkylineRanked(benchmark::State& state, Distribution distribution,
   size_t skyline_size = 0;
   for (auto _ : state) {
     std::vector<ObjectId> skyline =
-        ComputeSkylineRanked(view, data.full_mask(), algorithm);
+        ComputeSkyline(view, data.full_mask(), algorithm);
     skyline_size = skyline.size();
     benchmark::DoNotOptimize(skyline);
   }
@@ -87,29 +70,6 @@ BENCHMARK(BM_RankedViewBuild)
       ->Args({50000, 4})                                            \
       ->Args({10000, 8})                                            \
       ->Unit(benchmark::kMillisecond)
-
-#define SKYCUBE_BENCH_RANKED(dist_name, dist, algo_name, algo)        \
-  void BM_##dist_name##_Ranked##algo_name(benchmark::State& state) {  \
-    RunSkylineRanked(state, dist, algo);                              \
-  }                                                                   \
-  BENCHMARK(BM_##dist_name##_Ranked##algo_name)                       \
-      ->Args({10000, 4})                                              \
-      ->Args({50000, 4})                                              \
-      ->Args({10000, 8})                                              \
-      ->Unit(benchmark::kMillisecond)
-
-SKYCUBE_BENCH_RANKED(Correlated, Distribution::kCorrelated, Bnl,
-                     SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH_RANKED(Correlated, Distribution::kCorrelated, Sfs,
-                     SkylineAlgorithm::kSortFilterSkyline);
-SKYCUBE_BENCH_RANKED(Independent, Distribution::kIndependent, Bnl,
-                     SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH_RANKED(Independent, Distribution::kIndependent, Sfs,
-                     SkylineAlgorithm::kSortFilterSkyline);
-SKYCUBE_BENCH_RANKED(AntiCorrelated, Distribution::kAntiCorrelated, Bnl,
-                     SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH_RANKED(AntiCorrelated, Distribution::kAntiCorrelated, Sfs,
-                     SkylineAlgorithm::kSortFilterSkyline);
 
 SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Bnl,
               SkylineAlgorithm::kBlockNestedLoops);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -109,6 +110,18 @@ void NetSeeds(const std::string& root) {
     ++i;
   }
   WriteSeed(root, "frame_decoder", "pipelined-requests", pipelined);
+
+  // A structurally valid insert carrying NaN and ±inf: the transport keeps
+  // the bit patterns, and the service and router refuse the row.
+  WireRequest nonfinite;
+  nonfinite.op = Opcode::kInsert;
+  nonfinite.id = 13;
+  nonfinite.values = {std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()};
+  const std::string nonfinite_frame = EncodeRequest(nonfinite);
+  WriteSeed(root, "wire_request", "insert-nonfinite",
+            std::string_view(nonfinite_frame).substr(kFrameHeaderBytes));
 
   WireResponse ok;
   ok.id = 7;

@@ -49,8 +49,8 @@ CellError ParseCell(const std::string& text, double* out) {
   for (const char* p = end; *p != '\0'; ++p) {
     if (*p != ' ' && *p != '\t') return CellError::kNotNumeric;
   }
-  // NaN poisons dominance comparisons and infinities break rank
-  // compression; dataset values must be finite.
+  // NaN poisons dominance comparisons and the presort, and inf + -inf makes
+  // a coordinate sum NaN; dataset values must be finite.
   if (!std::isfinite(value)) return CellError::kNotFinite;
   *out = value;
   return CellError::kOk;

@@ -153,21 +153,25 @@ void IncrementalCubeMaintainer::RebuildDistinctView(bool remap_seeds) {
 
 void IncrementalCubeMaintainer::RebuildFromScratch() {
   ++stats_.full_recomputes;
-  seeds_ = ComputeSkyline(distinct_, distinct_.full_mask(),
+  const RankedView view(distinct_);
+  seeds_ = ComputeSkyline(view, distinct_.full_mask(),
                           options_.skyline_algorithm);
   const bool materialize =
       options_.matrix_mode == StellarOptions::MatrixMode::kMaterialize ||
       (options_.matrix_mode == StellarOptions::MatrixMode::kAuto &&
        seeds_.size() <= options_.materialize_max_seeds);
-  PairwiseMasks masks(distinct_, seeds_, distinct_.full_mask(), materialize);
+  PairwiseMasks masks(view, seeds_, distinct_.full_mask(), materialize);
   seed_groups_ = BuildSeedSkylineGroups(masks);
-  RerunExtension();
-  --stats_.extension_reruns;  // counted by RerunExtension; not a path-3 event
+  ExtendOver(view);
 }
 
 void IncrementalCubeMaintainer::RerunExtension() {
   ++stats_.extension_reruns;
-  groups_ = ExtendWithNonSeeds(distinct_, seeds_, seed_groups_);
+  ExtendOver(RankedView(distinct_));
+}
+
+void IncrementalCubeMaintainer::ExtendOver(const RankedView& view) {
+  groups_ = ExtendWithNonSeeds(view, seeds_, seed_groups_);
   ExpandGroups(members_of_distinct_, &groups_);
   NormalizeGroups(&groups_);
 }

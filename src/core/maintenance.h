@@ -52,6 +52,7 @@
 #include "core/skyline_group.h"
 #include "core/stellar.h"
 #include "dataset/dataset.h"
+#include "dataset/ranked_view.h"
 
 namespace skycube {
 
@@ -171,6 +172,9 @@ class IncrementalCubeMaintainer {
   void RebuildDistinctView(bool remap_seeds);
   void RebuildFromScratch();
   void RerunExtension();
+  /// Step 5 over the cached seed lattice: groups_ from `view` (of
+  /// distinct_), expanded to original ids and normalized.
+  void ExtendOver(const RankedView& view);
   /// Drops `ids` (sorted) from every group's member list.
   void EraseMembers(const std::vector<ObjectId>& ids);
   /// True iff some current seed strictly dominates `row` in the full space.

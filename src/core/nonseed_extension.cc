@@ -72,12 +72,12 @@ struct RelevantNonSeed {
 
 }  // namespace
 
-SkylineGroupSet ExtendWithNonSeeds(const Dataset& data,
+SkylineGroupSet ExtendWithNonSeeds(const RankedView& view,
                                    const std::vector<ObjectId>& seeds,
                                    const std::vector<SeedSkylineGroup>& seed_groups,
                                    NonSeedExtensionStats* stats,
-                                   int num_threads,
-                                   const RankedView* ranked) {
+                                   int num_threads) {
+  const Dataset& data = view.data();
   std::vector<char> is_seed(data.num_objects(), 0);
   for (ObjectId seed : seeds) is_seed[seed] = 1;
   const NonSeedValueIndex index(data, seeds, is_seed);
@@ -119,23 +119,14 @@ SkylineGroupSet ExtendWithNonSeeds(const Dataset& data,
       });
       const std::vector<ObjectId>& matches =
           index.Matches(best_dim, rep_row[best_dim]);
-      if (ranked != nullptr) {
-        // Batch kernel: one columnar sweep computes every candidate's share
-        // mask against the representative.
-        mask_scratch.resize(matches.size());
-        CoincidenceMasks(*ranked, representative, matches.data(),
-                         matches.size(), b, mask_scratch.data());
-        for (size_t c = 0; c < matches.size(); ++c) {
-          if (!IsSubsetOf(decisive, mask_scratch[c])) continue;
-          relevant.push_back({matches[c], mask_scratch[c]});
-        }
-      } else {
-        for (ObjectId candidate : matches) {
-          const DimMask share =
-              data.CoincidenceMask(candidate, representative, b);
-          if (!IsSubsetOf(decisive, share)) continue;
-          relevant.push_back({candidate, share});
-        }
+      // Batch kernel: one columnar sweep computes every candidate's share
+      // mask against the representative.
+      mask_scratch.resize(matches.size());
+      CoincidenceMasks(view, representative, matches.data(), matches.size(),
+                       b, mask_scratch.data());
+      for (size_t c = 0; c < matches.size(); ++c) {
+        if (!IsSubsetOf(decisive, mask_scratch[c])) continue;
+        relevant.push_back({matches[c], mask_scratch[c]});
       }
     }
     // Deduplicate (an object can qualify via several decisives).
@@ -216,20 +207,12 @@ SkylineGroupSet ExtendWithNonSeeds(const Dataset& data,
       // A relevant non-seed outside the group cannot dominate or tie the
       // group value on m (it would otherwise be a member), so its edge is
       // non-empty; guard anyway.
-      if (ranked != nullptr) {
-        mask_scratch.resize(outside_ids.size());
-        DominanceMasks(*ranked, representative, outside_ids.data(),
-                       outside_ids.size(), m, mask_scratch.data());
-        for (DimMask edge : mask_scratch) {
-          SKYCUBE_DCHECK(edge != 0);
-          edges.push_back(edge);
-        }
-      } else {
-        for (ObjectId outside : outside_ids) {
-          const DimMask edge = data.DominanceMask(representative, outside, m);
-          SKYCUBE_DCHECK(edge != 0);
-          edges.push_back(edge);
-        }
+      mask_scratch.resize(outside_ids.size());
+      DominanceMasks(view, representative, outside_ids.data(),
+                     outside_ids.size(), m, mask_scratch.data());
+      for (DimMask edge : mask_scratch) {
+        SKYCUBE_DCHECK(edge != 0);
+        edges.push_back(edge);
       }
 
       SkylineGroup group;

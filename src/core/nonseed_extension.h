@@ -41,19 +41,17 @@ struct NonSeedExtensionStats {
 };
 
 /// Extends `seed_groups` (over the seeds listed in `seeds`, which must be
-/// F(S) of `data`) to the complete SkylineGroupSet over all objects of
-/// `data`. Object ids in the result refer to `data` rows; projections are
-/// filled in. Non-seed lookup uses a per-dimension value index, built once.
-/// Per-seed-group work is parallelized over `num_threads` (0 = hardware
-/// threads); output is deterministic regardless of thread count. When
-/// `ranked` is non-null (it must view `data` and outlive the call),
-/// candidate share masks and outside-object edges are computed with the
-/// batch rank kernels; results are identical either way.
+/// F(S) of view.data()) to the complete SkylineGroupSet over all objects of
+/// the viewed dataset. Object ids in the result refer to its rows;
+/// projections are filled in. Non-seed lookup uses a per-dimension value
+/// index, built once; candidate share masks and outside-object edges come
+/// from the batch columnar kernels. Per-seed-group work is parallelized
+/// over `num_threads` (0 = hardware threads); output is deterministic
+/// regardless of thread count.
 SkylineGroupSet ExtendWithNonSeeds(
-    const Dataset& data, const std::vector<ObjectId>& seeds,
+    const RankedView& view, const std::vector<ObjectId>& seeds,
     const std::vector<SeedSkylineGroup>& seed_groups,
-    NonSeedExtensionStats* stats = nullptr, int num_threads = 1,
-    const RankedView* ranked = nullptr);
+    NonSeedExtensionStats* stats = nullptr, int num_threads = 1);
 
 }  // namespace skycube
 

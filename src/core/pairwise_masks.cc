@@ -10,59 +10,33 @@ namespace skycube {
 
 namespace {
 
-// j-tile width for the ranked build: one row chunk's output tile
-// (kPairwiseTile DimMask words) plus the rank columns it scans stay cache
-// resident while the i rows stream over them.
+// j-tile width: one row chunk's output tile (kPairwiseTile DimMask words)
+// plus the value columns it scans stay cache resident while the i rows
+// stream over them.
 constexpr size_t kPairwiseTile = 1024;
 
 }  // namespace
 
-PairwiseMasks::PairwiseMasks(const Dataset& data,
+PairwiseMasks::PairwiseMasks(const RankedView& view,
                              std::vector<ObjectId> objects, DimMask universe,
-                             bool materialize, int num_threads,
-                             const RankedView* ranked)
-    : data_(&data),
+                             bool materialize, int num_threads)
+    : data_(&view.data()),
       objects_(std::move(objects)),
       universe_(universe),
-      materialized_(materialize),
-      ranked_(ranked) {
+      materialized_(materialize) {
   if (!materialized_) return;
   const size_t n = objects_.size();
   dom_.assign(n * n, 0);
-  if (ranked_ != nullptr) {
-    // Ranked build: gather the seeds' ranks once into a columnar block and
-    // fill the full matrix tile by tile — every cell, including (i, i) and
-    // the lower triangle, has exactly one writer, so chunking over i rows
-    // is race-free. dom(i, i) = 0 falls out of the kernel.
-    const RankedBlock block = RankedBlock::Gather(*ranked_, universe_, objects_);
-    ParallelChunks(n, num_threads, [&](int, size_t begin, size_t end) {
-      for (size_t j_begin = 0; j_begin < n; j_begin += kPairwiseTile) {
-        const size_t j_end = std::min(j_begin + kPairwiseTile, n);
-        PairwiseDominanceTile(block, begin, end, j_begin, j_end,
-                              dom_.data() + begin * n + j_begin, n);
-      }
-    });
-    return;
-  }
-  // Scalar build: row i owns cells (i, j) and (j, i) for all j > i — every
-  // cell has a unique writer, so static chunking over i is race-free.
+  // Gather the seeds' values once into a columnar block and fill the full
+  // matrix tile by tile — every cell, including (i, i) and the lower
+  // triangle, has exactly one writer, so chunking over i rows is
+  // race-free. dom(i, i) = 0 falls out of the kernel.
+  const RankedBlock block = RankedBlock::Gather(view, universe_, objects_);
   ParallelChunks(n, num_threads, [&](int, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const double* row_i = data.Row(objects_[i]);
-      for (size_t j = i + 1; j < n; ++j) {
-        const double* row_j = data.Row(objects_[j]);
-        DimMask dom_ij = 0;
-        DimMask dom_ji = 0;
-        ForEachDim(universe_, [&](int dim) {
-          if (row_i[dim] < row_j[dim]) {
-            dom_ij |= DimBit(dim);
-          } else if (row_j[dim] < row_i[dim]) {
-            dom_ji |= DimBit(dim);
-          }
-        });
-        dom_[i * n + j] = dom_ij;
-        dom_[j * n + i] = dom_ji;
-      }
+    for (size_t j_begin = 0; j_begin < n; j_begin += kPairwiseTile) {
+      const size_t j_end = std::min(j_begin + kPairwiseTile, n);
+      PairwiseDominanceTile(block, begin, end, j_begin, j_end,
+                            dom_.data() + begin * n + j_begin, n);
     }
   });
 }

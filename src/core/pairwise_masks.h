@@ -23,16 +23,13 @@ namespace skycube {
 /// (position in the seed list, not raw ObjectId).
 class PairwiseMasks {
  public:
-  /// `objects` are the seed object ids; `universe` is the full space mask.
-  /// When `materialize` is true, all |objects|² dominance cells are
-  /// precomputed in one pass, parallelized over `num_threads` (0 = all
-  /// hardware threads). When `ranked` is non-null (it must view `data` and
-  /// outlive this object), the materialized build runs on the tiled
-  /// rank-compressed kernel and on-the-fly cells use the branch-free rank
-  /// masks; results are identical either way.
-  PairwiseMasks(const Dataset& data, std::vector<ObjectId> objects,
-                DimMask universe, bool materialize, int num_threads = 1,
-                const RankedView* ranked = nullptr);
+  /// `objects` are the seed object ids of `view`; `universe` is the full
+  /// space mask. When `materialize` is true, all |objects|² dominance cells
+  /// are precomputed in one pass of the tiled columnar kernel, parallelized
+  /// over `num_threads` (0 = all hardware threads); otherwise cells are
+  /// computed from the rows on demand. `view` must outlive this object.
+  PairwiseMasks(const RankedView& view, std::vector<ObjectId> objects,
+                DimMask universe, bool materialize, int num_threads = 1);
 
   size_t size() const { return objects_.size(); }
   ObjectId object(size_t index) const { return objects_[index]; }
@@ -42,9 +39,6 @@ class PairwiseMasks {
   /// Dimensions where object(i) < object(j). dom(i,i) = ∅.
   DimMask Dominance(size_t i, size_t j) const {
     if (materialized_) return dom_[i * objects_.size() + j];
-    if (ranked_ != nullptr) {
-      return ranked_->DominanceMask(objects_[i], objects_[j], universe_);
-    }
     return data_->DominanceMask(objects_[i], objects_[j], universe_);
   }
 
@@ -53,9 +47,6 @@ class PairwiseMasks {
     if (materialized_) {
       return universe_ & ~dom_[i * objects_.size() + j] &
              ~dom_[j * objects_.size() + i];
-    }
-    if (ranked_ != nullptr) {
-      return ranked_->CoincidenceMask(objects_[i], objects_[j], universe_);
     }
     return data_->CoincidenceMask(objects_[i], objects_[j], universe_);
   }
@@ -67,7 +58,6 @@ class PairwiseMasks {
   std::vector<ObjectId> objects_;
   DimMask universe_;
   bool materialized_;
-  const RankedView* ranked_;
   std::vector<DimMask> dom_;  // row-major |objects|² when materialized
 };
 

@@ -36,12 +36,6 @@ struct SkyeyOptions {
   /// the skycube traversal). 1 = sequential (default); 0 = all hardware
   /// threads. Results are identical regardless of the value.
   int num_threads = 1;
-  /// Run subspace skylines and group assembly on the rank-compressed
-  /// columnar kernels; results are bit-for-bit identical to the double
-  /// path.
-  bool use_ranked_kernels = true;
-  /// Bypass the workload-size heuristics (see SkycubeOptions).
-  bool force_ranked_kernels = false;
 };
 
 /// Counters of one Skyey run.

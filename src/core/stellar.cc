@@ -15,13 +15,6 @@ namespace skycube {
 
 namespace {
 
-// Ranked-kernel engagement thresholds (empirical, bench_fig11/fig12):
-// below them the scalar path's smaller constants win and the RankedView
-// build never pays for itself. Results are identical either way.
-constexpr size_t kRankedMinObjects = 65536;
-constexpr int kRankedMinDims = 8;
-constexpr size_t kRankedMinSeeds = 1024;
-
 // Remaps distinct-row member ids back to original object ids.
 void ExpandBoundMembers(const DuplicateBinding& binding,
                         SkylineGroupSet* groups) {
@@ -47,44 +40,20 @@ SkylineGroupSet ComputeStellar(const Dataset& data,
     binding.emplace(BindDuplicates(data));
     working = &binding->distinct;
   }
-  local_stats.num_distinct_objects = working->num_objects();
+  local_stats.num_unique_objects = working->num_objects();
 
-  // Rank-compress when the dominance-heavy phases have enough work to
-  // repay the view build (identical results either way). Upfront only for
-  // big high-dimensional inputs, where the seed skyline and the non-seed
-  // extension dominate; otherwise the decision is revisited once the seed
-  // count is known (thresholds are empirical, from bench_fig11/fig12).
+  // One columnar copy of the working rows serves the skyline step, the
+  // pairwise matrices and the non-seed extension.
   phase_timer.Reset();
-  std::optional<RankedView> ranked;
-  if (options.use_ranked_kernels &&
-      (options.force_ranked_kernels ||
-       (working->num_objects() >= kRankedMinObjects &&
-        working->num_dims() >= kRankedMinDims))) {
-    ranked.emplace(*working);
-  }
-  const RankedView* ranked_ptr = ranked.has_value() ? &*ranked : nullptr;
+  const RankedView view(*working);
   local_stats.seconds_ranked_view = phase_timer.ElapsedSeconds();
 
   // Step 1: full-space skyline — the seed objects F(S).
   phase_timer.Reset();
   std::vector<ObjectId> seeds =
-      ranked_ptr != nullptr
-          ? ComputeSkylineRanked(*ranked_ptr, working->full_mask(),
-                                 options.skyline_algorithm)
-          : ComputeSkyline(*working, working->full_mask(),
-                           options.skyline_algorithm);
+      ComputeSkyline(view, working->full_mask(), options.skyline_algorithm);
   local_stats.num_seeds = seeds.size();
   local_stats.seconds_full_skyline = phase_timer.ElapsedSeconds();
-
-  // Late view build: with many seeds the pairwise matrices (Θ(|F|²·d))
-  // and the extension's per-seed-group scans dwarf the build cost.
-  if (!ranked.has_value() && options.use_ranked_kernels &&
-      seeds.size() >= kRankedMinSeeds) {
-    phase_timer.Reset();
-    ranked.emplace(*working);
-    ranked_ptr = &*ranked;
-    local_stats.seconds_ranked_view = phase_timer.ElapsedSeconds();
-  }
 
   // Byproduct: dominance/coincidence matrices over F(S).
   phase_timer.Reset();
@@ -92,8 +61,8 @@ SkylineGroupSet ComputeStellar(const Dataset& data,
       options.matrix_mode == StellarOptions::MatrixMode::kMaterialize ||
       (options.matrix_mode == StellarOptions::MatrixMode::kAuto &&
        seeds.size() <= options.materialize_max_seeds);
-  PairwiseMasks masks(*working, seeds, working->full_mask(), materialize,
-                      options.num_threads, ranked_ptr);
+  PairwiseMasks masks(view, seeds, working->full_mask(), materialize,
+                      options.num_threads);
   local_stats.seconds_matrices = phase_timer.ElapsedSeconds();
 
   // Steps 2–4: seed skyline groups and their decisive subspaces.
@@ -108,8 +77,8 @@ SkylineGroupSet ComputeStellar(const Dataset& data,
   // Step 5: accommodate non-seed objects.
   phase_timer.Reset();
   SkylineGroupSet groups =
-      ExtendWithNonSeeds(*working, masks.objects(), seed_groups, nullptr,
-                         options.num_threads, ranked_ptr);
+      ExtendWithNonSeeds(view, masks.objects(), seed_groups, nullptr,
+                         options.num_threads);
   local_stats.seconds_nonseed = phase_timer.ElapsedSeconds();
 
   if (binding.has_value()) ExpandBoundMembers(*binding, &groups);

@@ -41,27 +41,17 @@ struct StellarOptions {
   /// 1 = sequential (default, matches the paper's setting); 0 = all
   /// hardware threads. Results are identical regardless of the value.
   int num_threads = 1;
-
-  /// Build a RankedView of the working dataset once and run the skyline
-  /// step, the pairwise matrices, and the non-seed extension on the
-  /// rank-compressed columnar kernels. Results are bit-for-bit identical to
-  /// the double-precision path (which remains as fallback and oracle).
-  bool use_ranked_kernels = true;
-  /// Skip the workload-size heuristics and always engage the ranked
-  /// kernels when use_ranked_kernels is set (used by equivalence tests to
-  /// exercise the ranked path on small inputs).
-  bool force_ranked_kernels = false;
 };
 
 /// Phase timings and counters of one Stellar run.
 struct StellarStats {
   uint64_t num_objects = 0;
-  uint64_t num_distinct_objects = 0;
+  uint64_t num_unique_objects = 0;       // after duplicate binding
   uint64_t num_seeds = 0;                  // |F(S)|
   uint64_t num_maximal_cgroups = 0;        // step 2 output
   uint64_t num_seed_skyline_groups = 0;    // after step 4
   uint64_t num_groups = 0;                 // final cube size
-  double seconds_ranked_view = 0;          // RankedView construction
+  double seconds_ranked_view = 0;          // RankedView transpose
   double seconds_full_skyline = 0;
   double seconds_matrices = 0;
   double seconds_seed_groups = 0;          // steps 2–4

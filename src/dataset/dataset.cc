@@ -18,7 +18,11 @@ std::vector<std::string> DefaultDimNames(int num_dims) {
     if (num_dims <= 26) {
       names.push_back(std::string(1, static_cast<char>('A' + i)));
     } else {
-      names.push_back("D" + std::to_string(i + 1));
+      // Appending to a named string, not `"D" + std::to_string(...)`: GCC 12
+      // at -O3 reports a false -Wrestrict inside libstdc++ for the latter.
+      std::string name = "D";
+      name += std::to_string(i + 1);
+      names.push_back(std::move(name));
     }
   }
   return names;
@@ -81,6 +85,13 @@ void Dataset::AddRow(const std::vector<double>& values) {
   SKYCUBE_CHECK_MSG(static_cast<int>(values.size()) == num_dims_,
                     "row width must equal num_dims");
   values_.insert(values_.end(), values.begin(), values.end());
+}
+
+bool AllFinite(const std::vector<double>& values) {
+  for (double v : values) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
 }
 
 Result<DimMask> MaskFromNameList(const std::vector<std::string>& dim_names,

@@ -25,6 +25,12 @@ using ObjectId = uint32_t;
 Result<DimMask> MaskFromNameList(const std::vector<std::string>& dim_names,
                                  const std::string& names);
 
+/// True iff every one of `values` is finite. Every dataset value must be:
+/// a NaN breaks the dominance order and the presort's strict weak ordering,
+/// and inf + -inf turns a coordinate sum into NaN. Ingest paths (CSV, the
+/// service, the router, WAL and checkpoint decoding) refuse anything else.
+bool AllFinite(const std::vector<double>& values);
+
 /// A dense row-major table of `num_objects() × num_dims()` doubles.
 /// Immutable-after-build usage is typical: construct via FromRows / a
 /// generator, then hand to the algorithms.

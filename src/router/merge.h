@@ -5,10 +5,10 @@
 // the global skyline is exactly the skyline OF the union of per-shard
 // skylines. The merge is therefore one dominance refilter pass over the
 // (small) candidate union — the multiskyline-join idiom of distributed
-// skyline frameworks — executed with the repo's ranked columnar kernels:
-// candidates are re-ranked locally (dense ranks preserve <,==,> exactly,
-// so dominance is unchanged) and probed against a packed RankedBlock with
-// early-exit BlockAnyDominates.
+// skyline frameworks — executed with the repo's columnar kernels: the
+// candidates' rows are gathered from the RowStore into one packed
+// RankedBlock and each is probed against it with early-exit
+// BlockAnyDominates.
 #ifndef SKYCUBE_ROUTER_MERGE_H_
 #define SKYCUBE_ROUTER_MERGE_H_
 

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <utility>
 
+#include "dataset/dataset.h"
 #include "router/merge.h"
 
 namespace skycube::router {
@@ -77,6 +78,7 @@ const char* ScatterGather::ValidationError(
           topology_->num_dims()) {
         return "insert row width does not match the cube";
       }
+      if (!AllFinite(request.values)) return "insert values must be finite";
       break;
     case QueryKind::kDelete:
       // Any object id is acceptable: deletes are idempotent, and an

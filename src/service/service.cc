@@ -11,6 +11,7 @@
 #include "common/fault_injection.h"
 #include "common/macros.h"
 #include "common/mutex.h"
+#include "dataset/dataset.h"
 #include "service/text_format.h"
 
 namespace skycube {
@@ -218,9 +219,11 @@ const char* SkycubeService::ValidationError(
   if (needs_object && request.object >= cube.num_objects()) {
     return "object id out of range";
   }
-  if (request.kind == QueryKind::kInsert &&
-      static_cast<int>(request.values.size()) != cube.num_dims()) {
-    return "insert row width must equal num_dims";
+  if (request.kind == QueryKind::kInsert) {
+    if (static_cast<int>(request.values.size()) != cube.num_dims()) {
+      return "insert row width must equal num_dims";
+    }
+    if (!AllFinite(request.values)) return "insert values must be finite";
   }
   // A kDelete object beyond the row population is *not* invalid: deletes
   // are idempotent, and an unknown id answers the "dead" path.

@@ -29,47 +29,24 @@ const char* SkylineAlgorithmName(SkylineAlgorithm algorithm) {
 
 std::vector<ObjectId> ComputeSkyline(const Dataset& data, DimMask subspace,
                                      SkylineAlgorithm algorithm) {
-  std::vector<ObjectId> all(data.num_objects());
-  std::iota(all.begin(), all.end(), 0);
-  return ComputeSkylineAmong(data, subspace, all, algorithm);
+  return ComputeSkyline(RankedView(data), subspace, algorithm);
 }
 
-std::vector<ObjectId> ComputeSkylineAmong(const Dataset& data,
-                                          DimMask subspace,
-                                          const std::vector<ObjectId>& candidates,
-                                          SkylineAlgorithm algorithm) {
-  SKYCUBE_CHECK_MSG(subspace != 0, "subspace must be non-empty");
-  SKYCUBE_CHECK_MSG(IsSubsetOf(subspace, data.full_mask()),
-                    "subspace outside the dataset's dimension space");
-  switch (algorithm) {
-    case SkylineAlgorithm::kBlockNestedLoops:
-      return SkylineBnl(data, subspace, candidates);
-    case SkylineAlgorithm::kSortFilterSkyline:
-      return SkylineSfs(data, subspace, candidates);
-    case SkylineAlgorithm::kDivideAndConquer:
-      return SkylineDivideAndConquer(data, subspace, candidates);
-    case SkylineAlgorithm::kLess:
-      return SkylineLess(data, subspace, candidates);
-    case SkylineAlgorithm::kIndex:
-      return SkylineIndex(data, subspace, candidates);
-    case SkylineAlgorithm::kBitmap:
-      return SkylineBitmap(data, subspace, candidates);
-    case SkylineAlgorithm::kBbs:
-      return SkylineBbs(data, subspace, candidates);
-  }
-  SKYCUBE_CHECK(false);
-  return {};
+std::vector<ObjectId> ComputeSkylineAmong(
+    const Dataset& data, DimMask subspace,
+    const std::vector<ObjectId>& candidates, SkylineAlgorithm algorithm) {
+  return ComputeSkylineAmong(RankedView(data), subspace, candidates,
+                             algorithm);
 }
 
-std::vector<ObjectId> ComputeSkylineRanked(const RankedView& view,
-                                           DimMask subspace,
-                                           SkylineAlgorithm algorithm) {
+std::vector<ObjectId> ComputeSkyline(const RankedView& view, DimMask subspace,
+                                     SkylineAlgorithm algorithm) {
   std::vector<ObjectId> all(view.num_objects());
   std::iota(all.begin(), all.end(), 0);
-  return ComputeSkylineAmongRanked(view, subspace, all, algorithm);
+  return ComputeSkylineAmong(view, subspace, all, algorithm);
 }
 
-std::vector<ObjectId> ComputeSkylineAmongRanked(
+std::vector<ObjectId> ComputeSkylineAmong(
     const RankedView& view, DimMask subspace,
     const std::vector<ObjectId>& candidates, SkylineAlgorithm algorithm) {
   SKYCUBE_CHECK_MSG(subspace != 0, "subspace must be non-empty");
@@ -77,20 +54,19 @@ std::vector<ObjectId> ComputeSkylineAmongRanked(
                     "subspace outside the dataset's dimension space");
   switch (algorithm) {
     case SkylineAlgorithm::kBlockNestedLoops:
-      return SkylineBnlRanked(view, subspace, candidates);
+      return SkylineBnl(view, subspace, candidates);
     case SkylineAlgorithm::kSortFilterSkyline:
-      return SkylineSfsRanked(view, subspace, candidates);
+      return SkylineSfs(view, subspace, candidates);
     case SkylineAlgorithm::kDivideAndConquer:
-      return SkylineDivideAndConquerRanked(view, subspace, candidates);
+      return SkylineDivideAndConquer(view, subspace, candidates);
     case SkylineAlgorithm::kLess:
-      return SkylineLessRanked(view, subspace, candidates);
+      return SkylineLess(view, subspace, candidates);
     case SkylineAlgorithm::kIndex:
-      return SkylineIndexRanked(view, subspace, candidates);
+      return SkylineIndex(view, subspace, candidates);
     case SkylineAlgorithm::kBitmap:
-      return SkylineBitmapRanked(view, subspace, candidates);
+      return SkylineBitmap(view, subspace, candidates);
     case SkylineAlgorithm::kBbs:
-      // No ranked variant — BBS's mindist search wants real coordinates.
-      return SkylineBbs(view.data(), subspace, candidates);
+      return SkylineBbs(view, subspace, candidates);
   }
   SKYCUBE_CHECK(false);
   return {};

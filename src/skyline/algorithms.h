@@ -67,7 +67,9 @@ const char* SkylineAlgorithmName(SkylineAlgorithm algorithm);
 
 /// Computes the skyline of `subspace` over all objects of `data` with the
 /// chosen algorithm. Returns ascending object ids. `subspace` must be
-/// non-empty and within data.full_mask().
+/// non-empty and within data.full_mask(). Transposes `data` into a
+/// RankedView and runs the view overload; callers computing several
+/// skylines over one dataset should build the view once themselves.
 std::vector<ObjectId> ComputeSkyline(
     const Dataset& data, DimMask subspace,
     SkylineAlgorithm algorithm = SkylineAlgorithm::kSortFilterSkyline);
@@ -80,56 +82,35 @@ std::vector<ObjectId> ComputeSkylineAmong(
     const std::vector<ObjectId>& candidates,
     SkylineAlgorithm algorithm = SkylineAlgorithm::kSortFilterSkyline);
 
-/// Individual algorithm entry points (candidate-restricted form). Exposed
-/// for direct benchmarking; prefer ComputeSkyline in application code.
-std::vector<ObjectId> SkylineBnl(const Dataset& data, DimMask subspace,
-                                 const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineSfs(const Dataset& data, DimMask subspace,
-                                 const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineDivideAndConquer(
-    const Dataset& data, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineLess(const Dataset& data, DimMask subspace,
-                                  const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineIndex(const Dataset& data, DimMask subspace,
-                                   const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineBitmap(const Dataset& data, DimMask subspace,
-                                    const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineBbs(const Dataset& data, DimMask subspace,
-                                 const std::vector<ObjectId>& candidates);
-
-/// Rank-compressed fast paths (skyline/dominance_kernels.h): identical
-/// output to the double-precision entry points above — rank order equals
-/// value order, ties share a rank — but the inner loops run branch-poor
-/// integer batch kernels over the view's columns. Build the RankedView
-/// once per dataset and reuse it across subspaces/calls. BBS has no ranked
-/// variant; the dispatchers fall back to the double path via view.data().
-std::vector<ObjectId> ComputeSkylineRanked(
+/// The same two entry points over a prebuilt columnar view of the dataset
+/// (dataset/ranked_view.h).
+std::vector<ObjectId> ComputeSkyline(
     const RankedView& view, DimMask subspace,
     SkylineAlgorithm algorithm = SkylineAlgorithm::kSortFilterSkyline);
-std::vector<ObjectId> ComputeSkylineAmongRanked(
+std::vector<ObjectId> ComputeSkylineAmong(
     const RankedView& view, DimMask subspace,
     const std::vector<ObjectId>& candidates,
     SkylineAlgorithm algorithm = SkylineAlgorithm::kSortFilterSkyline);
 
-std::vector<ObjectId> SkylineBnlRanked(const RankedView& view,
-                                       DimMask subspace,
-                                       const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineSfsRanked(const RankedView& view,
-                                       DimMask subspace,
-                                       const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineDivideAndConquerRanked(
+/// Individual algorithm entry points (candidate-restricted form). Exposed
+/// for direct benchmarking; prefer ComputeSkyline in application code. The
+/// window algorithms (BNL, SFS, LESS, Index) and D&C's merge run the batch
+/// kernels of skyline/dominance_kernels.h.
+std::vector<ObjectId> SkylineBnl(const RankedView& view, DimMask subspace,
+                                 const std::vector<ObjectId>& candidates);
+std::vector<ObjectId> SkylineSfs(const RankedView& view, DimMask subspace,
+                                 const std::vector<ObjectId>& candidates);
+std::vector<ObjectId> SkylineDivideAndConquer(
     const RankedView& view, DimMask subspace,
     const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineLessRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineIndexRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineBitmapRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
+std::vector<ObjectId> SkylineLess(const RankedView& view, DimMask subspace,
+                                  const std::vector<ObjectId>& candidates);
+std::vector<ObjectId> SkylineIndex(const RankedView& view, DimMask subspace,
+                                   const std::vector<ObjectId>& candidates);
+std::vector<ObjectId> SkylineBitmap(const RankedView& view, DimMask subspace,
+                                    const std::vector<ObjectId>& candidates);
+std::vector<ObjectId> SkylineBbs(const RankedView& view, DimMask subspace,
+                                 const std::vector<ObjectId>& candidates);
 
 }  // namespace skycube
 

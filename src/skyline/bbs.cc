@@ -29,7 +29,6 @@
 
 #include "common/macros.h"
 #include "skyline/algorithms.h"
-#include "skyline/dominance.h"
 
 namespace skycube {
 
@@ -52,9 +51,6 @@ struct Entry {
   double mindist;
   uint32_t index;  // node index, or point index when is_point
   bool is_point;
-  bool operator>(const Entry& other) const {
-    return mindist > other.mindist;
-  }
 };
 
 class BbsTree {
@@ -89,7 +85,17 @@ class BbsTree {
     std::vector<ObjectId> skyline;
     if (nodes_.empty()) return skyline;
     std::vector<const double*> skyline_points;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+    // Pop order: ascending mindist, ties by lexicographic coordinates (a
+    // node's lower corner, a point's values). Rounding can make a
+    // dominator's sum equal to the dominated point's, as for (1e20, 0) and
+    // (1e20, 1), but the dominator — and every node holding it — still
+    // comes first lexicographically.
+    auto pops_later = [this](const Entry& a, const Entry& b) {
+      if (a.mindist != b.mindist) return a.mindist > b.mindist;
+      return Coordinates(b) < Coordinates(a);
+    };
+    std::priority_queue<Entry, std::vector<Entry>, decltype(pops_later)> heap(
+        pops_later);
     heap.push({nodes_.back().mindist,
                static_cast<uint32_t>(nodes_.size() - 1), false});
     while (!heap.empty()) {
@@ -124,6 +130,11 @@ class BbsTree {
   }
 
  private:
+  const std::vector<double>& Coordinates(const Entry& entry) const {
+    return entry.is_point ? permuted_points_[entry.index]
+                          : nodes_[entry.index].lower;
+  }
+
   // Sort-tile-recursive: orders point indices so that consecutive runs of
   // kLeafCapacity form spatially coherent leaves.
   void Tile(uint32_t* order, size_t n, size_t dim_index) {
@@ -235,10 +246,10 @@ class BbsTree {
 
 }  // namespace
 
-std::vector<ObjectId> SkylineBbs(const Dataset& data, DimMask subspace,
+std::vector<ObjectId> SkylineBbs(const RankedView& view, DimMask subspace,
                                  const std::vector<ObjectId>& candidates) {
   if (candidates.empty()) return {};
-  BbsTree tree(data, subspace, candidates);
+  BbsTree tree(view.data(), subspace, candidates);
   std::vector<ObjectId> skyline = tree.Run();
   std::sort(skyline.begin(), skyline.end());
   return skyline;

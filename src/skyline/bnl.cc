@@ -7,47 +7,16 @@
 #include <vector>
 
 #include "skyline/algorithms.h"
-#include "skyline/dominance.h"
 #include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
-std::vector<ObjectId> SkylineBnl(const Dataset& data, DimMask subspace,
+// The compare-and-evict pass is two batch probes over a columnar window:
+// "does any window row dominate the candidate?" and, only if not, "evict
+// the rows the candidate dominates". Equal rows dominate in neither
+// direction, so they stay side by side.
+std::vector<ObjectId> SkylineBnl(const RankedView& view, DimMask subspace,
                                  const std::vector<ObjectId>& candidates) {
-  std::vector<ObjectId> window;
-  for (ObjectId candidate : candidates) {
-    const double* row = data.Row(candidate);
-    bool dominated = false;
-    size_t keep = 0;
-    for (size_t i = 0; i < window.size(); ++i) {
-      const DomOrder order = CompareRows(data.Row(window[i]), row, subspace);
-      if (order == DomOrder::kFirstDominates) {
-        dominated = true;
-        // Window entries are pairwise incomparable, so nothing scanned so
-        // far was evicted; retain the unscanned tail verbatim.
-        for (size_t j = i; j < window.size(); ++j) window[keep++] = window[j];
-        break;
-      }
-      if (order != DomOrder::kSecondDominates) {
-        window[keep++] = window[i];  // incomparable or equal: keep
-      }
-      // kSecondDominates: candidate evicts window[i] (skip it).
-    }
-    window.resize(keep);
-    if (!dominated) window.push_back(candidate);
-  }
-  std::sort(window.begin(), window.end());
-  return window;
-}
-
-// Ranked fast path: the scalar loop's combined compare-and-evict pass
-// becomes two batch probes over a columnar window — "does any window row
-// dominate the candidate?" and, only if not, "evict the rows the candidate
-// dominates". Equal rows dominate in neither direction, so the window holds
-// exactly the same set as the scalar version after every step.
-std::vector<ObjectId> SkylineBnlRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
   RankedWindow window(view, subspace, std::min<size_t>(candidates.size(), 256));
   for (ObjectId candidate : candidates) {
     if (window.AnyDominates(candidate)) continue;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "skyline/algorithms.h"
-#include "skyline/dominance.h"
 #include "skyline/dominance_kernels.h"
 
 namespace skycube {
@@ -17,10 +16,12 @@ namespace {
 
 constexpr size_t kDncBaseCase = 48;
 
-std::vector<ObjectId> DncRecurse(const Dataset& data, DimMask subspace,
+// Medians are taken over the view's value columns, and the merge filter
+// probes the low half's skyline as one columnar block.
+std::vector<ObjectId> DncRecurse(const RankedView& view, DimMask subspace,
                                  std::vector<ObjectId> ids) {
   if (ids.size() <= kDncBaseCase) {
-    return SkylineBnl(data, subspace, ids);
+    return SkylineBnl(view, subspace, ids);
   }
   // Find a dimension that actually separates the set; a dimension where all
   // values are equal cannot split.
@@ -28,9 +29,10 @@ std::vector<ObjectId> DncRecurse(const Dataset& data, DimMask subspace,
   double median = 0;
   ForEachDim(subspace, [&](int dim) {
     if (split_dim != -1) return;
+    const double* col = view.column(dim);
     std::vector<double> values;
     values.reserve(ids.size());
-    for (ObjectId id : ids) values.push_back(data.Value(id, dim));
+    for (ObjectId id : ids) values.push_back(col[id]);
     auto mid = values.begin() + values.size() / 2;
     std::nth_element(values.begin(), mid, values.end());
     const double candidate_median = *mid;
@@ -48,81 +50,23 @@ std::vector<ObjectId> DncRecurse(const Dataset& data, DimMask subspace,
     std::sort(ids.begin(), ids.end());
     return ids;
   }
-  std::vector<ObjectId> low;
-  std::vector<ObjectId> high;
-  for (ObjectId id : ids) {
-    (data.Value(id, split_dim) < median ? low : high).push_back(id);
-  }
-  std::vector<ObjectId> low_skyline = DncRecurse(data, subspace, std::move(low));
-  std::vector<ObjectId> high_skyline =
-      DncRecurse(data, subspace, std::move(high));
-  // Merge: low skyline survives; high skyline entries survive unless some
-  // low-skyline object dominates them.
-  std::vector<ObjectId> merged = low_skyline;
-  for (ObjectId candidate : high_skyline) {
-    const double* row = data.Row(candidate);
-    bool dominated = false;
-    for (ObjectId low_id : low_skyline) {
-      if (RowDominates(data.Row(low_id), row, subspace)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) merged.push_back(candidate);
-  }
-  std::sort(merged.begin(), merged.end());
-  return merged;
-}
-
-// Ranked recursion: identical structure, but medians are taken over integer
-// ranks (rank order equals value order, so the splits partition the same
-// way) and the merge filter probes the low half's skyline as one columnar
-// block instead of row-by-row scalar scans.
-std::vector<ObjectId> DncRecurseRanked(const RankedView& view,
-                                       DimMask subspace,
-                                       std::vector<ObjectId> ids) {
-  if (ids.size() <= kDncBaseCase) {
-    return SkylineBnlRanked(view, subspace, ids);
-  }
-  int split_dim = -1;
-  uint32_t median = 0;
-  ForEachDim(subspace, [&](int dim) {
-    if (split_dim != -1) return;
-    const uint32_t* col = view.column(dim);
-    std::vector<uint32_t> ranks;
-    ranks.reserve(ids.size());
-    for (ObjectId id : ids) ranks.push_back(col[id]);
-    auto mid = ranks.begin() + ranks.size() / 2;
-    std::nth_element(ranks.begin(), mid, ranks.end());
-    const uint32_t candidate_median = *mid;
-    for (uint32_t r : ranks) {
-      if (r < candidate_median) {
-        split_dim = dim;
-        median = candidate_median;
-        break;
-      }
-    }
-  });
-  if (split_dim == -1) {
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  }
-  const uint32_t* split_col = view.column(split_dim);
+  const double* split_col = view.column(split_dim);
   std::vector<ObjectId> low;
   std::vector<ObjectId> high;
   for (ObjectId id : ids) {
     (split_col[id] < median ? low : high).push_back(id);
   }
-  std::vector<ObjectId> low_skyline =
-      DncRecurseRanked(view, subspace, std::move(low));
+  std::vector<ObjectId> low_skyline = DncRecurse(view, subspace, std::move(low));
   std::vector<ObjectId> high_skyline =
-      DncRecurseRanked(view, subspace, std::move(high));
+      DncRecurse(view, subspace, std::move(high));
+  // Merge: low skyline survives; high skyline entries survive unless some
+  // low-skyline object dominates them.
   const RankedBlock low_block = RankedBlock::Gather(view, subspace, low_skyline);
-  std::vector<uint32_t> probe(
+  std::vector<double> probe(
       static_cast<size_t>(std::max(low_block.num_packed_dims(), 1)));
   std::vector<ObjectId> merged = std::move(low_skyline);
   for (ObjectId candidate : high_skyline) {
-    low_block.GatherProbe(candidate, probe.data());
+    low_block.GatherProbe(view.data().Row(candidate), probe.data());
     if (!BlockAnyDominates(low_block, probe.data())) {
       merged.push_back(candidate);
     }
@@ -134,15 +78,9 @@ std::vector<ObjectId> DncRecurseRanked(const RankedView& view,
 }  // namespace
 
 std::vector<ObjectId> SkylineDivideAndConquer(
-    const Dataset& data, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  return DncRecurse(data, subspace, candidates);
-}
-
-std::vector<ObjectId> SkylineDivideAndConquerRanked(
     const RankedView& view, DimMask subspace,
     const std::vector<ObjectId>& candidates) {
-  return DncRecurseRanked(view, subspace, candidates);
+  return DncRecurse(view, subspace, candidates);
 }
 
 }  // namespace skycube

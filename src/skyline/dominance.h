@@ -74,9 +74,10 @@ inline bool Dominates(const Dataset& data, ObjectId a, ObjectId b,
   return RowDominates(data.Row(a), data.Row(b), subspace);
 }
 
-/// Monotone scoring function for SFS/LESS presorting: the sum of the
+/// Monotone scoring function for the SFS/LESS presort: the sum of the
 /// projection's coordinates. If u dominates v in `subspace` then
-/// SortScore(u) < SortScore(v) strictly.
+/// SortScore(u) ≤ SortScore(v) — not strictly: rounding can make the sums
+/// equal, as for (1e20, 0) and (1e20, 1). PresortBefore breaks such ties.
 inline double SortScore(const double* row, DimMask subspace) {
   double sum = 0;
   while (subspace != 0) {
@@ -85,6 +86,48 @@ inline double SortScore(const double* row, DimMask subspace) {
     sum += row[dim];
   }
   return sum;
+}
+
+/// Three-way lexicographic comparison of rows `a` and `b` over the dims of
+/// `subspace` in increasing order: < 0, 0 or > 0. If u dominates v then u
+/// compares lower — at the first dim where they differ, u is smaller.
+inline int LexicographicCompare(const double* a, const double* b,
+                                DimMask subspace) {
+  while (subspace != 0) {
+    const int dim = LowestDim(subspace);
+    subspace &= subspace - 1;
+    if (a[dim] < b[dim]) return -1;
+    if (b[dim] < a[dim]) return 1;
+  }
+  return 0;
+}
+
+/// One object in the SFS/LESS presort.
+struct PresortEntry {
+  double score;  // SortScore over the subspace
+  double lead;   // value on the subspace's lowest dimension
+  ObjectId id;
+};
+
+/// The presort entry of object `id` over `subspace`.
+inline PresortEntry MakePresortEntry(const Dataset& data, DimMask subspace,
+                                     ObjectId id) {
+  const double* row = data.Row(id);
+  return {SortScore(row, subspace), row[LowestDim(subspace)], id};
+}
+
+/// The presort's strict weak order: ascending score, ties by lexicographic
+/// row order (the cached lead value settles most ties without touching the
+/// rows), then by id. A dominator always sorts before what it dominates,
+/// so no object can dominate one sorted earlier.
+inline bool PresortBefore(const Dataset& data, DimMask subspace,
+                          const PresortEntry& a, const PresortEntry& b) {
+  if (a.score != b.score) return a.score < b.score;
+  if (a.lead != b.lead) return a.lead < b.lead;
+  const int order =
+      LexicographicCompare(data.Row(a.id), data.Row(b.id), subspace);
+  if (order != 0) return order < 0;
+  return a.id < b.id;
 }
 
 }  // namespace skycube

@@ -1,14 +1,14 @@
-// Rank-compressed columnar dominance kernels — the batch/branch-poor twins
-// of the scalar kernels in skyline/dominance.h.
+// Columnar batch dominance kernels — the branch-poor, batch-shaped
+// counterparts of the pairwise kernels in skyline/dominance.h.
 //
-// All kernels operate on a RankedView (dataset/ranked_view.h), whose dense
-// per-dimension ranks preserve <, ==, > exactly, so every result here is
-// bit-for-bit identical to the corresponding double-precision kernel (the
-// property tests in tests/skyline/dominance_kernels_test.cc assert this).
-// The wins come from (a) integer compares instead of double compares,
-// (b) flag accumulation instead of data-dependent branches, and (c) batch
-// shapes — one probe row against a contiguous block of rows, or tile ×
-// tile — whose inner loops auto-vectorize.
+// The kernels read double columns: the dataset's transpose (RankedView,
+// dataset/ranked_view.h) or a packed RankedBlock of selected rows. They
+// compare with the same IEEE `<`/`==` as the row kernels, so every result
+// equals the pairwise oracle's (tests/skyline/dominance_kernels_test.cc
+// asserts this). The wins come from flag accumulation instead of
+// data-dependent branches and from batch shapes — one probe row against a
+// contiguous block of rows, or tile × tile — whose inner loops are
+// independent across rows.
 #ifndef SKYCUBE_SKYLINE_DOMINANCE_KERNELS_H_
 #define SKYCUBE_SKYLINE_DOMINANCE_KERNELS_H_
 
@@ -18,69 +18,20 @@
 #include "common/bitset.h"
 #include "common/subspace.h"
 #include "dataset/ranked_view.h"
-#include "skyline/dominance.h"
 
 namespace skycube {
 
-/// Twin of CompareRows over ranks: flag accumulation instead of per-dim
-/// branching, with the same incomparable short-circuit (on independent
-/// data most pairs settle within a few dimensions).
-inline DomOrder CompareRanked(const RankedView& view, ObjectId a, ObjectId b,
-                              DimMask subspace) {
-  unsigned a_better = 0;
-  unsigned b_better = 0;
-  while (subspace != 0) {
-    const int dim = LowestDim(subspace);
-    subspace &= subspace - 1;
-    const uint32_t* col = view.column(dim);
-    a_better |= static_cast<unsigned>(col[a] < col[b]);
-    b_better |= static_cast<unsigned>(col[b] < col[a]);
-    if ((a_better & b_better) != 0) return DomOrder::kIncomparable;
-  }
-  static constexpr DomOrder kOrders[4] = {
-      DomOrder::kEqual, DomOrder::kFirstDominates, DomOrder::kSecondDominates,
-      DomOrder::kIncomparable};
-  return kOrders[a_better | (b_better << 1)];
-}
-
-/// Twin of RowDominates over ranks (same early exit as the scalar).
-inline bool RankedDominates(const RankedView& view, ObjectId a, ObjectId b,
-                            DimMask subspace) {
-  unsigned better = 0;
-  while (subspace != 0) {
-    const int dim = LowestDim(subspace);
-    subspace &= subspace - 1;
-    const uint32_t* col = view.column(dim);
-    if (col[a] > col[b]) return false;
-    better |= static_cast<unsigned>(col[a] < col[b]);
-  }
-  return better != 0;
-}
-
-/// Branch-free twin of RowDominatesOrEqual over ranks.
-inline bool RankedDominatesOrEqual(const RankedView& view, ObjectId a,
-                                   ObjectId b, DimMask subspace) {
-  unsigned worse = 0;
-  while (subspace != 0) {
-    const int dim = LowestDim(subspace);
-    subspace &= subspace - 1;
-    const uint32_t* col = view.column(dim);
-    worse |= static_cast<unsigned>(col[a] > col[b]);
-  }
-  return worse == 0;
-}
-
-/// A packed column-major block of ranks for a subset of objects, restricted
-/// to the dimensions of one subspace (packed densely in increasing
-/// dimension order). Batch kernels run over its contiguous columns.
+/// A packed column-major block of values for a subset of objects,
+/// restricted to the dimensions of one subspace (packed densely in
+/// increasing dimension order). Batch kernels run over its contiguous
+/// columns.
 class RankedBlock {
  public:
   /// An empty block over the dims of `subspace` with initial room for
   /// `capacity` rows (a hint — Append grows the block geometrically).
-  /// `view` must outlive the block.
-  RankedBlock(const RankedView& view, DimMask subspace, size_t capacity);
+  RankedBlock(DimMask subspace, size_t capacity);
 
-  /// Gathers all of `ids` into a block.
+  /// Gathers all of `ids` into a block, column by column.
   static RankedBlock Gather(const RankedView& view, DimMask subspace,
                             const std::vector<ObjectId>& ids);
 
@@ -88,28 +39,26 @@ class RankedBlock {
   /// Original dimension index of packed column `k`.
   int dim(int k) const { return dims_[k]; }
   size_t size() const { return size_; }
-  size_t capacity() const { return capacity_; }
 
-  /// Contiguous rank column of packed dimension `k` (size() valid entries).
-  const uint32_t* column(int k) const {
-    return ranks_.data() + static_cast<size_t>(k) * capacity_;
+  /// Contiguous value column of packed dimension `k` (size() valid entries).
+  const double* column(int k) const {
+    return values_.data() + static_cast<size_t>(k) * capacity_;
   }
 
-  /// Appends one object's ranks as a new row, growing if full.
-  void Append(ObjectId id) {
+  /// Appends one object as a new row, growing if full. `row` holds all of
+  /// the object's values, indexed by original dimension.
+  void Append(const double* row) {
     if (size_ == capacity_) Grow();
     for (size_t k = 0; k < dims_.size(); ++k) {
-      ranks_[k * capacity_ + size_] = view_->column(dims_[k])[id];
+      values_[k * capacity_ + size_] = row[dims_[k]];
     }
     ++size_;
   }
 
-  /// Fills probe[k] with `id`'s rank on packed dimension `k` — the probe
-  /// row format the batch kernels take.
-  void GatherProbe(ObjectId id, uint32_t* probe) const {
-    for (size_t k = 0; k < dims_.size(); ++k) {
-      probe[k] = view_->column(dims_[k])[id];
-    }
+  /// Fills probe[k] with `row`'s value on packed dimension `k` — the probe
+  /// row format the batch kernels take. `row` is indexed as in Append.
+  void GatherProbe(const double* row, double* probe) const {
+    for (size_t k = 0; k < dims_.size(); ++k) probe[k] = row[dims_[k]];
   }
 
   /// Removes every row j with drop[j] != 0, preserving order.
@@ -118,20 +67,19 @@ class RankedBlock {
  private:
   void Grow();
 
-  const RankedView* view_;
   std::vector<int> dims_;  // packed dim -> original dim
   size_t capacity_;
   size_t size_ = 0;
-  std::vector<uint32_t> ranks_;  // packed-dim-major, stride capacity_
+  std::vector<double> values_;  // packed-dim-major, stride capacity_
 };
 
 /// True iff some row of `block` strictly dominates the probe row (equal
 /// rows do not dominate). Tiles internally with per-tile early exit.
-bool BlockAnyDominates(const RankedBlock& block, const uint32_t* probe);
+bool BlockAnyDominates(const RankedBlock& block, const double* probe);
 
 /// dominated[j] = 1 iff the probe row strictly dominates block row j.
 /// `dominated` must have block.size() entries.
-void BlockDominatedFlags(const RankedBlock& block, const uint32_t* probe,
+void BlockDominatedFlags(const RankedBlock& block, const double* probe,
                          uint8_t* dominated);
 
 /// Batch twin of RowDominates: sets bit j of `out` (sized `count`) iff
@@ -155,21 +103,23 @@ void DominanceMasks(const RankedView& view, ObjectId reference,
 
 /// Tile kernel behind PairwiseMasks: for every (i, j) in
 /// [i_begin, i_end) × [j_begin, j_end), writes the dominance mask
-/// dom(i, j) = {dims of the block's subspace : rank_i < rank_j} into
+/// dom(i, j) = {dims of the block's subspace : value_i < value_j} into
 /// dom[(i - i_begin) * stride + (j - j_begin)]. Cells are fully
 /// overwritten; dom(i, i) = 0 falls out naturally.
 void PairwiseDominanceTile(const RankedBlock& block, size_t i_begin,
                            size_t i_end, size_t j_begin, size_t j_end,
                            DimMask* dom, size_t stride);
 
-/// A dominance window over ranked rows: the BNL/SFS/LESS/index-method
-/// working set, stored as a RankedBlock with ids alongside. AnyDominates
-/// is the batch inner loop of every window algorithm; EvictDominatedBy
-/// supports the BNL-style eviction pass.
+/// A dominance window over the view's objects: the BNL/SFS/LESS/index-
+/// method working set, stored as a RankedBlock with ids alongside.
+/// AnyDominates is the batch inner loop of every window algorithm;
+/// EvictDominatedBy supports the BNL-style eviction pass.
 class RankedWindow {
  public:
+  /// `view` must outlive the window.
   RankedWindow(const RankedView& view, DimMask subspace, size_t capacity)
-      : block_(view, subspace, capacity),
+      : data_(&view.data()),
+        block_(subspace, capacity),
         probe_(block_.num_packed_dims() > 0 ? block_.num_packed_dims() : 1) {
     ids_.reserve(capacity);
   }
@@ -179,7 +129,7 @@ class RankedWindow {
 
   /// True iff some window row strictly dominates `target`.
   bool AnyDominates(ObjectId target) {
-    block_.GatherProbe(target, probe_.data());
+    block_.GatherProbe(data_->Row(target), probe_.data());
     return BlockAnyDominates(block_, probe_.data());
   }
 
@@ -187,14 +137,15 @@ class RankedWindow {
   void EvictDominatedBy(ObjectId target);
 
   void Append(ObjectId id) {
-    block_.Append(id);
+    block_.Append(data_->Row(id));
     ids_.push_back(id);
   }
 
  private:
+  const Dataset* data_;
   RankedBlock block_;
   std::vector<ObjectId> ids_;
-  std::vector<uint32_t> probe_;
+  std::vector<double> probe_;
   std::vector<uint8_t> dominated_;  // eviction scratch
 };
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "skyline/algorithms.h"
-#include "skyline/dominance.h"
 #include "skyline/dominance_kernels.h"
 
 namespace skycube {
@@ -36,24 +35,14 @@ double MaxCoordinate(const double* row, DimMask subspace) {
   return best;
 }
 
-uint32_t MinRank(const RankedView& view, ObjectId id, DimMask subspace) {
-  uint32_t best = view.Rank(id, LowestDim(subspace));
-  ForEachDim(subspace,
-             [&](int dim) { best = std::min(best, view.Rank(id, dim)); });
-  return best;
-}
-
-uint32_t MaxRank(const RankedView& view, ObjectId id, DimMask subspace) {
-  uint32_t best = view.Rank(id, LowestDim(subspace));
-  ForEachDim(subspace,
-             [&](int dim) { best = std::max(best, view.Rank(id, dim)); });
-  return best;
-}
-
 }  // namespace
 
-std::vector<ObjectId> SkylineIndex(const Dataset& data, DimMask subspace,
+// The window is a columnar block probed with the batch kernels; the
+// incoming object first asks whether any window row dominates it, and only
+// then evicts the rows it dominates.
+std::vector<ObjectId> SkylineIndex(const RankedView& view, DimMask subspace,
                                    const std::vector<ObjectId>& candidates) {
+  const Dataset& data = view.data();
   struct Entry {
     double min_coord;
     ObjectId id;
@@ -68,73 +57,20 @@ std::vector<ObjectId> SkylineIndex(const Dataset& data, DimMask subspace,
     return a.id < b.id;
   });
 
-  std::vector<ObjectId> window;
+  RankedWindow window(view, subspace, std::min<size_t>(candidates.size(), 256));
   double best_window_max = std::numeric_limits<double>::infinity();
   for (const Entry& entry : order) {
     // Early termination: a window object fits entirely below every
     // remaining object's smallest coordinate → it strictly dominates them.
     if (best_window_max < entry.min_coord) break;
-    const double* row = data.Row(entry.id);
-    bool dominated = false;
-    size_t keep = 0;
-    for (size_t i = 0; i < window.size(); ++i) {
-      const DomOrder cmp = CompareRows(data.Row(window[i]), row, subspace);
-      if (cmp == DomOrder::kFirstDominates) {
-        dominated = true;
-        for (size_t j = i; j < window.size(); ++j) window[keep++] = window[j];
-        break;
-      }
-      if (cmp != DomOrder::kSecondDominates) window[keep++] = window[i];
-    }
-    window.resize(keep);
-    if (!dominated) {
-      window.push_back(entry.id);
-      best_window_max =
-          std::min(best_window_max, MaxCoordinate(row, subspace));
-    }
-    // Evictions cannot invalidate best_window_max: an evicted object was
-    // dominated by the incoming one, whose max coordinate is ≤ the
-    // evictee's on... (not necessarily ≤ its max — recompute lazily would
-    // be needed for exactness; we keep the historical minimum, which stays
-    // a valid bound because the object that achieved it is only evicted by
-    // a dominator with coordinate-wise smaller values, hence smaller max.)
-  }
-  std::sort(window.begin(), window.end());
-  return window;
-}
-
-// Ranked fast path. Both monotonicity facts carry over to dense ranks:
-// q dominating p gives rank_q ≤ rank_p per dimension, hence
-// minRank(q) ≤ minRank(p); and maxRank(q) < minRank(p) means q is strictly
-// below p on every dimension. The window becomes a columnar block probed
-// with the batch kernels (the set result is order-independent, so a
-// different-but-valid processing order is fine).
-std::vector<ObjectId> SkylineIndexRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  struct Entry {
-    uint32_t min_rank;
-    ObjectId id;
-  };
-  std::vector<Entry> order;
-  order.reserve(candidates.size());
-  for (ObjectId id : candidates) {
-    order.push_back({MinRank(view, id, subspace), id});
-  }
-  std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
-    if (a.min_rank != b.min_rank) return a.min_rank < b.min_rank;
-    return a.id < b.id;
-  });
-
-  RankedWindow window(view, subspace, std::min<size_t>(candidates.size(), 256));
-  uint32_t best_window_max = std::numeric_limits<uint32_t>::max();
-  for (const Entry& entry : order) {
-    if (best_window_max < entry.min_rank) break;
     if (window.AnyDominates(entry.id)) continue;
     window.EvictDominatedBy(entry.id);
     window.Append(entry.id);
+    // Evictions cannot invalidate best_window_max: the object that set it
+    // is only evicted by a dominator, whose coordinates — hence maximum —
+    // are no larger.
     best_window_max =
-        std::min(best_window_max, MaxRank(view, entry.id, subspace));
+        std::min(best_window_max, MaxCoordinate(data.Row(entry.id), subspace));
   }
   std::vector<ObjectId> skyline = window.ids();
   std::sort(skyline.begin(), skyline.end());

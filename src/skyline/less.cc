@@ -17,107 +17,50 @@ namespace {
 
 constexpr size_t kEfWindowSize = 16;
 
-struct Scored {
-  double score;
-  ObjectId id;
-};
-
 }  // namespace
 
-std::vector<ObjectId> SkylineLess(const Dataset& data, DimMask subspace,
+std::vector<ObjectId> SkylineLess(const RankedView& view, DimMask subspace,
                                   const std::vector<ObjectId>& candidates) {
+  const Dataset& data = view.data();
   // Pass 1: eliminate records dominated by the EF window while collecting
   // scores. The EF window retains the lowest-scoring objects seen so far
-  // (low score = likely dominator).
-  std::vector<Scored> ef;  // kept sorted by score ascending, small
-  std::vector<Scored> survivors;
+  // (low score = likely dominator); it holds at most kEfWindowSize
+  // entries, so it stays pairwise.
+  std::vector<PresortEntry> ef;  // kept sorted by score ascending, small
+  std::vector<PresortEntry> survivors;
   survivors.reserve(candidates.size());
   for (ObjectId id : candidates) {
     const double* row = data.Row(id);
-    const double score = SortScore(row, subspace);
+    const PresortEntry scored = MakePresortEntry(data, subspace, id);
+    const double score = scored.score;
     bool dominated = false;
-    for (const Scored& entry : ef) {
-      if (entry.score >= score) break;  // can't dominate: score not smaller
+    for (const PresortEntry& entry : ef) {
+      // A dominator's score is ≤, never >, the dominated row's.
+      if (entry.score > score) break;
       if (RowDominates(data.Row(entry.id), row, subspace)) {
         dominated = true;
         break;
       }
     }
     if (dominated) continue;
-    survivors.push_back({score, id});
+    survivors.push_back(scored);
     // Update EF window: insert, keep the kEfWindowSize lowest scores.
     if (ef.size() < kEfWindowSize || score < ef.back().score) {
       auto pos = std::lower_bound(
           ef.begin(), ef.end(), score,
-          [](const Scored& entry, double s) { return entry.score < s; });
-      ef.insert(pos, {score, id});
+          [](const PresortEntry& entry, double s) { return entry.score < s; });
+      ef.insert(pos, scored);
       if (ef.size() > kEfWindowSize) ef.pop_back();
     }
   }
 
-  // Pass 2: SFS over the survivors.
+  // Pass 2: SFS over the survivors, on a batch columnar window.
   std::sort(survivors.begin(), survivors.end(),
-            [](const Scored& a, const Scored& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.id < b.id;
-            });
-  std::vector<ObjectId> skyline;
-  for (const Scored& entry : survivors) {
-    const double* row = data.Row(entry.id);
-    bool dominated = false;
-    for (ObjectId kept : skyline) {
-      if (RowDominates(data.Row(kept), row, subspace)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) skyline.push_back(entry.id);
-  }
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
-
-// Ranked fast path: integer rank-sum scores for both passes; the EF window
-// stays pairwise (it holds ≤ kEfWindowSize entries), the final SFS filter
-// runs over a batch columnar window.
-std::vector<ObjectId> SkylineLessRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  struct RankScored {
-    uint64_t key;
-    ObjectId id;
-  };
-  std::vector<RankScored> ef;
-  std::vector<RankScored> survivors;
-  survivors.reserve(candidates.size());
-  for (ObjectId id : candidates) {
-    const uint64_t key = view.RankSortKey(id, subspace);
-    bool dominated = false;
-    for (const RankScored& entry : ef) {
-      if (entry.key >= key) break;  // can't dominate: key not smaller
-      if (RankedDominates(view, entry.id, id, subspace)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (dominated) continue;
-    survivors.push_back({key, id});
-    if (ef.size() < kEfWindowSize || key < ef.back().key) {
-      auto pos = std::lower_bound(
-          ef.begin(), ef.end(), key,
-          [](const RankScored& entry, uint64_t k) { return entry.key < k; });
-      ef.insert(pos, {key, id});
-      if (ef.size() > kEfWindowSize) ef.pop_back();
-    }
-  }
-
-  std::sort(survivors.begin(), survivors.end(),
-            [](const RankScored& a, const RankScored& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.id < b.id;
+            [&](const PresortEntry& a, const PresortEntry& b) {
+              return PresortBefore(data, subspace, a, b);
             });
   RankedWindow window(view, subspace, std::min<size_t>(survivors.size(), 256));
-  for (const RankScored& entry : survivors) {
+  for (const PresortEntry& entry : survivors) {
     if (!window.AnyDominates(entry.id)) window.Append(entry.id);
   }
   std::vector<ObjectId> skyline = window.ids();

@@ -1,7 +1,8 @@
 // Sort-filter-skyline (Chomicki, Godfrey, Gryz, Liang, ICDE 2003).
 // Objects are presorted by a monotone score (here the coordinate sum over
-// the subspace); after the sort no object can dominate an earlier one, so a
-// single pass with a grow-only window suffices — no evictions, unlike BNL.
+// the subspace, ties broken lexicographically); after the sort no object
+// can dominate an earlier one, so a single pass with a grow-only window
+// suffices — no evictions, unlike BNL.
 #include <algorithm>
 #include <vector>
 
@@ -11,61 +12,21 @@
 
 namespace skycube {
 
-std::vector<ObjectId> SkylineSfs(const Dataset& data, DimMask subspace,
+std::vector<ObjectId> SkylineSfs(const RankedView& view, DimMask subspace,
                                  const std::vector<ObjectId>& candidates) {
-  struct Scored {
-    double score;
-    ObjectId id;
-  };
-  std::vector<Scored> order;
+  const Dataset& data = view.data();
+  std::vector<PresortEntry> order;
   order.reserve(candidates.size());
   for (ObjectId id : candidates) {
-    order.push_back({SortScore(data.Row(id), subspace), id});
+    order.push_back(MakePresortEntry(data, subspace, id));
   }
-  std::sort(order.begin(), order.end(), [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.id < b.id;
-  });
-
-  std::vector<ObjectId> skyline;
-  for (const Scored& entry : order) {
-    const double* row = data.Row(entry.id);
-    bool dominated = false;
-    for (ObjectId kept : skyline) {
-      if (RowDominates(data.Row(kept), row, subspace)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) skyline.push_back(entry.id);
-  }
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
-
-// Ranked fast path: the monotone presort key becomes the integer rank sum
-// (dominance implies a strictly smaller rank sum, same as the coordinate
-// sum over doubles), and the window scan becomes one batch probe over a
-// grow-only columnar block.
-std::vector<ObjectId> SkylineSfsRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  struct Scored {
-    uint64_t key;
-    ObjectId id;
-  };
-  std::vector<Scored> order;
-  order.reserve(candidates.size());
-  for (ObjectId id : candidates) {
-    order.push_back({view.RankSortKey(id, subspace), id});
-  }
-  std::sort(order.begin(), order.end(), [](const Scored& a, const Scored& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.id < b.id;
-  });
+  std::sort(order.begin(), order.end(),
+            [&](const PresortEntry& a, const PresortEntry& b) {
+              return PresortBefore(data, subspace, a, b);
+            });
 
   RankedWindow window(view, subspace, std::min<size_t>(candidates.size(), 256));
-  for (const Scored& entry : order) {
+  for (const PresortEntry& entry : order) {
     if (!window.AnyDominates(entry.id)) window.Append(entry.id);
   }
   std::vector<ObjectId> skyline = window.ids();

@@ -16,6 +16,7 @@
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "core/serialization.h"
+#include "dataset/dataset.h"
 
 namespace skycube {
 
@@ -185,6 +186,10 @@ Result<CheckpointData> ParseCheckpoint(const std::string& text) {
         return Status::InvalidArgument("truncated checkpoint row " +
                                        std::to_string(r));
       }
+    }
+    if (!AllFinite(row)) {
+      return Status::InvalidArgument("non-finite value in checkpoint row " +
+                                     std::to_string(r));
     }
     data.AddRow(row);
   }

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "dataset/dataset.h"
 
 namespace skycube {
 
@@ -57,6 +58,9 @@ Result<InsertHandler::Applied> DurableIngest::ApplyInsert(
   MutexLock lock(&mu_);
   if (static_cast<int>(values.size()) != maintainer_->data().num_dims()) {
     return Status::InvalidArgument("insert width must equal num_dims");
+  }
+  if (!AllFinite(values)) {
+    return Status::InvalidArgument("insert values must be finite");
   }
   // Log first: an insert the WAL did not accept is never applied, so the
   // in-memory cube can run *behind* the durable log but never ahead of it.

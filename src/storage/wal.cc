@@ -15,6 +15,7 @@
 
 #include "common/fault_injection.h"
 #include "common/hash.h"
+#include "dataset/dataset.h"
 
 namespace skycube {
 
@@ -226,6 +227,9 @@ Result<std::vector<double>> DecodeRowPayload(std::string_view payload) {
     const uint64_t bits = GetU64(payload.data() + 4 + i * 8);
     std::memcpy(&values[i], &bits, sizeof(double));
   }
+  if (!AllFinite(values)) {
+    return Status::InvalidArgument("row payload holds a non-finite value");
+  }
   return values;
 }
 
@@ -293,6 +297,9 @@ Result<WalOpRecord> DecodeOpPayload(std::string_view payload) {
     for (uint32_t i = 0; i < n; ++i) {
       const uint64_t bits = GetU64(payload.data() + 17 + i * 8);
       std::memcpy(&record.values[i], &bits, sizeof(double));
+    }
+    if (!AllFinite(record.values)) {
+      return Status::InvalidArgument("insert payload holds a non-finite value");
     }
     return record;
   }

@@ -169,7 +169,8 @@ class WriteAheadLog {
 ///   uint32 num_dims | num_dims doubles (little-endian bit patterns)
 std::string EncodeRowPayload(const std::vector<double>& values);
 /// Decodes; fails with kInvalidArgument on a size mismatch (a checksummed
-/// record of the wrong shape — format drift, not corruption).
+/// record of the wrong shape — format drift, not corruption) or a
+/// non-finite value (never a valid row; replay must not bring one back).
 [[nodiscard]] Result<std::vector<double>> DecodeRowPayload(
     std::string_view payload);
 
@@ -207,8 +208,8 @@ std::string EncodeInsertPayload(const std::vector<double>& values,
 /// v3 delete payload: the target row id plus the delete's timestamp.
 std::string EncodeDeletePayload(uint32_t row, uint64_t timestamp_ms);
 /// Decodes a v3 payload, falling back to the legacy v2 row codec when the
-/// first byte is below 0x80. Fails with kInvalidArgument on size mismatch
-/// or an unknown op tag.
+/// first byte is below 0x80. Fails with kInvalidArgument on size mismatch,
+/// an unknown op tag, or a non-finite insert value.
 [[nodiscard]] Result<WalOpRecord> DecodeOpPayload(std::string_view payload);
 
 /// One record as seen by the read-only inspector (tools/skycube_waldump):

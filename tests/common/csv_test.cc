@@ -1,5 +1,6 @@
 // Unit tests for the CSV reader/writer.
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,10 @@ struct MalformedCase {
   /// Substrings the error message must contain.
   std::vector<std::string> expected;
 };
+
+// Without this, gtest prints the raw bytes of the case, pointers included,
+// so the registered ctest names would change with every process's ASLR.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.label; }
 
 class CsvMalformedTest : public ::testing::TestWithParam<MalformedCase> {};
 

@@ -9,6 +9,7 @@
 #include "core/cgroup_miner.h"
 #include "core/pairwise_masks.h"
 #include "dataset/dataset.h"
+#include "dataset/ranked_view.h"
 
 namespace skycube {
 namespace {
@@ -43,7 +44,8 @@ TEST(CGroupMinerTest, RunningExampleSeedGroups) {
                                              {2, 4, 9, 3},  // P5
                                          })
                            .value();
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
+  const RankedView view(data);
+  PairwiseMasks masks(view, {0, 1, 2}, data.full_mask(), true);
   std::vector<MaximalCGroup> groups = Sorted(MineMaximalCGroups(masks));
   ASSERT_EQ(groups.size(), 6u);
   // Singletons in the full space.
@@ -74,7 +76,8 @@ TEST(CGroupMinerTest, Example8CoincidenceStructure) {
                                              {6, 7, 3, 4},  // o5: CD with o1
                                          })
                            .value();
-  PairwiseMasks masks(data, {0, 1, 2, 3, 4}, data.full_mask(), true);
+  const RankedView view(data);
+  PairwiseMasks masks(view, {0, 1, 2, 3, 4}, data.full_mask(), true);
   std::vector<MaximalCGroup> groups = MineMaximalCGroups(masks);
   ExpectSameGroups(groups, MineMaximalCGroupsBruteForce(masks));
   std::set<std::pair<std::vector<uint32_t>, DimMask>> found;
@@ -96,7 +99,8 @@ TEST(CGroupMinerTest, NoSharingYieldsOnlySingletons) {
                                              {3, 30},
                                          })
                            .value();
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
+  const RankedView view(data);
+  PairwiseMasks masks(view, {0, 1, 2}, data.full_mask(), true);
   std::vector<MaximalCGroup> groups = Sorted(MineMaximalCGroups(masks));
   ASSERT_EQ(groups.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
@@ -121,7 +125,8 @@ TEST(CGroupMinerTest, EmitsEachGroupExactlyOnce) {
     const Dataset data = Dataset::FromRows(std::move(rows)).value();
     std::vector<ObjectId> all(n);
     for (int i = 0; i < n; ++i) all[i] = i;
-    PairwiseMasks masks(data, all, data.full_mask(), true);
+    const RankedView view(data);
+    PairwiseMasks masks(view, all, data.full_mask(), true);
     std::vector<MaximalCGroup> groups = Sorted(MineMaximalCGroups(masks));
     for (size_t i = 1; i < groups.size(); ++i) {
       EXPECT_FALSE(groups[i - 1].member_indices == groups[i].member_indices &&
@@ -140,8 +145,9 @@ TEST(CGroupMinerTest, LazyAndMaterializedMasksAgree) {
                                              {1, 2, 9},
                                          })
                            .value();
-  PairwiseMasks dense(data, {0, 1, 2, 3}, data.full_mask(), true);
-  PairwiseMasks lazy(data, {0, 1, 2, 3}, data.full_mask(), false);
+  const RankedView view(data);
+  PairwiseMasks dense(view, {0, 1, 2, 3}, data.full_mask(), true);
+  PairwiseMasks lazy(view, {0, 1, 2, 3}, data.full_mask(), false);
   EXPECT_TRUE(dense.materialized());
   EXPECT_FALSE(lazy.materialized());
   for (size_t i = 0; i < 4; ++i) {

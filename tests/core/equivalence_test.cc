@@ -138,6 +138,29 @@ TEST(EngineEquivalenceCorner, BinaryValuesManyDuplicates) {
   }
 }
 
+// Signed zeros (equal under ==), exact ties and large magnitudes whose
+// coordinate sums round equal — (1e20, 0) and (1e20, 1) sum alike — are
+// the inputs the presort tie-break and the columnar kernels must get right.
+TEST(EngineEquivalenceCorner, SignedZerosTiesAndRoundedSums) {
+  const double pool[] = {-0.0, 0.0, 1.0, 1e20, -1e20};
+  Rng rng(2026);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::vector<double>> rows;
+    const int d = 2 + static_cast<int>(rng.NextBounded(3));
+    const size_t n = 4 + rng.NextBounded(40);
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<double> row(d);
+      for (double& v : row) v = pool[rng.NextBounded(5)];
+      rows.push_back(std::move(row));
+    }
+    const Dataset data = Dataset::FromRows(std::move(rows)).value();
+    const SkylineGroupSet stellar = ComputeStellar(data);
+    ASSERT_EQ(stellar, ComputeSkyey(data)) << "round " << round;
+    ASSERT_EQ(stellar, ComputeReferenceCube(data)) << "round " << round;
+    CheckInvariants(data, stellar);
+  }
+}
+
 // Duplicate rows must be bound together: every duplicate appears in exactly
 // the groups of its twin.
 TEST(EngineEquivalenceCorner, ExplicitDuplicates) {

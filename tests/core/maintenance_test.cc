@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "core/maintenance.h"
+#include "core/reference.h"
 #include "core/stellar.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
@@ -300,6 +301,39 @@ TEST(MaintenanceTest, CheckpointRestoreRoundTripsTombstones) {
   EXPECT_EQ(restored.num_live(), original.num_live());
   EXPECT_EQ(restored.timestamps(), original.timestamps());
   ExpectLiveCurrent(restored);
+}
+
+TEST(MaintenanceTest, SignedZeroAndRoundedSumStreamStaysCurrent) {
+  // Values from a tiny pool: -0.0/+0.0 (equal, so rows differing only in
+  // the sign of a zero are duplicates), exact ties, and 1e20 beside 0 and
+  // 1, whose coordinate sums round equal. Inserts are checked against the
+  // quadratic reference cube, the mixed tail against StellarOverLive.
+  const double pool[] = {-0.0, 0.0, 1.0, 1e20, -1e20};
+  Rng rng(404);
+  auto random_row = [&] {
+    std::vector<double> row(3);
+    for (double& v : row) v = pool[rng.NextBounded(5)];
+    return row;
+  };
+  Dataset initial(3);
+  for (int i = 0; i < 10; ++i) initial.AddRow(random_row());
+  IncrementalCubeMaintainer maintainer(std::move(initial));
+  for (int i = 0; i < 60; ++i) {
+    maintainer.Insert(random_row());
+    ASSERT_EQ(maintainer.groups(), ComputeReferenceCube(maintainer.data()))
+        << "diverged at insert " << i;
+  }
+  for (int i = 0; i < 60; ++i) {
+    if (rng.NextBounded(2) == 0) {
+      maintainer.Remove(static_cast<ObjectId>(
+          rng.NextBounded(maintainer.data().num_objects())));
+    } else {
+      maintainer.Insert(random_row());
+    }
+    ASSERT_EQ(maintainer.groups(),
+              StellarOverLive(maintainer.data(), maintainer.live()))
+        << "diverged at mixed op " << i;
+  }
 }
 
 TEST(MaintenanceTest, LongRandomStream500StaysEquivalent) {

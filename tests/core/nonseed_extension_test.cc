@@ -9,6 +9,7 @@
 #include "core/pairwise_masks.h"
 #include "core/seed_lattice.h"
 #include "dataset/dataset.h"
+#include "dataset/ranked_view.h"
 #include "skyline/algorithms.h"
 
 namespace skycube {
@@ -19,13 +20,14 @@ DimMask M(const char* letters) { return MaskFromLetters(letters); }
 // Runs seeds → seed lattice → extension on `data` and returns the groups.
 SkylineGroupSet Extend(const Dataset& data, NonSeedExtensionStats* stats,
                        int num_threads = 1) {
+  const RankedView view(data);
   const std::vector<ObjectId> seeds =
-      ComputeSkyline(data, data.full_mask());
-  PairwiseMasks masks(data, seeds, data.full_mask(), true);
+      ComputeSkyline(view, data.full_mask());
+  PairwiseMasks masks(view, seeds, data.full_mask(), true);
   const std::vector<SeedSkylineGroup> seed_groups =
       BuildSeedSkylineGroups(masks);
   SkylineGroupSet groups =
-      ExtendWithNonSeeds(data, seeds, seed_groups, stats, num_threads);
+      ExtendWithNonSeeds(view, seeds, seed_groups, stats, num_threads);
   NormalizeGroups(&groups);
   return groups;
 }

@@ -22,6 +22,7 @@
 #include "core/skyline_group.h"
 #include "core/stellar.h"
 #include "dataset/dataset.h"
+#include "dataset/ranked_view.h"
 #include "skyline/algorithms.h"
 
 namespace skycube {
@@ -92,7 +93,8 @@ TEST(PaperRunningExample, SubspaceSkylinesOfExample2) {
 TEST(PaperRunningExample, DominanceAndCoincidenceMatricesOfFigure4) {
   const Dataset data = RunningExample();
   // Seeds P2, P4, P5 → seed indices 0, 1, 2.
-  PairwiseMasks masks(data, {1, 3, 4}, data.full_mask(),
+  const RankedView view(data);
+  PairwiseMasks masks(view, {1, 3, 4}, data.full_mask(),
                       /*materialize=*/true);
   // Dominance matrix, Figure 4(a) rows P2, P4, P5.
   EXPECT_EQ(masks.Dominance(0, 0), kEmptyMask);
@@ -141,7 +143,7 @@ TEST(PaperRunningExample, StellarStatsMatchNarrative) {
   StellarStats stats;
   ComputeStellar(data, {}, &stats);
   EXPECT_EQ(stats.num_objects, 5u);
-  EXPECT_EQ(stats.num_distinct_objects, 5u);
+  EXPECT_EQ(stats.num_unique_objects, 5u);
   EXPECT_EQ(stats.num_seeds, 3u);
   // Figure 3(a): six seed groups (3 singletons + P2P4 + P2P5 + P4P5), all
   // of which are skyline groups.

@@ -7,6 +7,7 @@
 #include "core/pairwise_masks.h"
 #include "core/seed_lattice.h"
 #include "dataset/dataset.h"
+#include "dataset/ranked_view.h"
 
 namespace skycube {
 namespace {
@@ -33,7 +34,8 @@ const SeedSkylineGroup* FindGroup(const std::vector<SeedSkylineGroup>& groups,
 
 TEST(SeedLatticeTest, RunningExampleFigure3a) {
   const Dataset data = Seeds();
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
+  const RankedView view(data);
+  PairwiseMasks masks(view, {0, 1, 2}, data.full_mask(), true);
   SeedLatticeStats stats;
   const std::vector<SeedSkylineGroup> groups =
       BuildSeedSkylineGroups(masks, &stats);
@@ -81,7 +83,8 @@ TEST(SeedLatticeTest, NonSkylineCGroupIsDropped) {
                                          })
                            .value();
   // All three are full-space skyline objects.
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
+  const RankedView view(data);
+  PairwiseMasks masks(view, {0, 1, 2}, data.full_mask(), true);
   SeedLatticeStats stats;
   const std::vector<SeedSkylineGroup> groups =
       BuildSeedSkylineGroups(masks, &stats);
@@ -95,7 +98,8 @@ TEST(SeedLatticeTest, NonSkylineCGroupIsDropped) {
 
 TEST(SeedLatticeTest, SingleSeedGetsSingletonDecisives) {
   const Dataset data = Dataset::FromRows({{1, 2, 3}}).value();
-  PairwiseMasks masks(data, {0}, data.full_mask(), true);
+  const RankedView view(data);
+  PairwiseMasks masks(view, {0}, data.full_mask(), true);
   const std::vector<SeedSkylineGroup> groups = BuildSeedSkylineGroups(masks);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_TRUE(groups[0].reduced_edges.empty());
@@ -125,7 +129,8 @@ TEST(SeedLatticeTest, ParallelMatchesSequential) {
   // seed set to be a real skyline for its own invariants).
   std::vector<ObjectId> all;
   for (ObjectId i = 0; i < data.num_objects(); ++i) all.push_back(i);
-  PairwiseMasks masks(data, all, data.full_mask(), true);
+  const RankedView view(data);
+  PairwiseMasks masks(view, all, data.full_mask(), true);
   const auto sequential = BuildSeedSkylineGroups(masks, nullptr, 1);
   const auto parallel = BuildSeedSkylineGroups(masks, nullptr, 4);
   ASSERT_EQ(sequential.size(), parallel.size());

@@ -82,8 +82,8 @@ TEST(StellarOptionsTest, StatsAreConsistent) {
   StellarStats stats;
   const SkylineGroupSet groups = ComputeStellar(data, {}, &stats);
   EXPECT_EQ(stats.num_objects, data.num_objects());
-  EXPECT_LE(stats.num_distinct_objects, stats.num_objects);
-  EXPECT_LE(stats.num_seeds, stats.num_distinct_objects);
+  EXPECT_LE(stats.num_unique_objects, stats.num_objects);
+  EXPECT_LE(stats.num_seeds, stats.num_unique_objects);
   EXPECT_GE(stats.num_seeds, 1u);
   EXPECT_LE(stats.num_seed_skyline_groups, stats.num_maximal_cgroups);
   EXPECT_EQ(stats.num_groups, groups.size());

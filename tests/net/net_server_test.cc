@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -307,6 +308,34 @@ TEST_F(NetServerTest, AnswersEveryOpcodeCorrectly) {
 
   client.SendRequest(Skyline(10, mask));
   EXPECT_EQ(client.ReadResponse().snapshot_version, 2u);
+}
+
+TEST_F(NetServerTest, NonFiniteInsertIsRefusedAndNeverAcked) {
+  // The transport carries the bit patterns; the service refuses the row
+  // with kInvalidArgument on the same connection, and nothing is applied.
+  StartServer();
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  uint64_t id = 1;
+  for (const std::vector<double>& values :
+       {std::vector<double>{nan, 0.01, 0.01, 0.01},
+        std::vector<double>{0.01, inf, 0.01, 0.01},
+        std::vector<double>{0.01, 0.01, -inf, 0.01}}) {
+    WireRequest insert = Simple(Opcode::kInsert, id++);
+    insert.values = values;
+    client.SendRequest(insert);
+    const WireResponse refused = client.ReadResponse();
+    EXPECT_EQ(refused.status, StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused.snapshot_version, 1u);
+  }
+  // The connection is still good and the snapshot never moved.
+  client.SendRequest(Simple(Opcode::kSkycubeSize, id++));
+  const WireResponse size = client.ReadResponse();
+  EXPECT_EQ(size.status, StatusCode::kOk);
+  EXPECT_EQ(size.snapshot_version, 1u);
+  EXPECT_EQ(maintainer_->data().num_objects(), 300u);
 }
 
 TEST_F(NetServerTest, CustomHealthAndStatsProviders) {

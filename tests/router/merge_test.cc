@@ -15,6 +15,7 @@
 
 #include "common/consistent_hash.h"
 #include "common/subspace.h"
+#include "core/reference.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
 #include "router/partition.h"
@@ -70,6 +71,37 @@ TEST(MergeSkylineCandidates, UnionOfShardSkylinesIsTheGlobalSkyline) {
             << "seed " << seed << " shards " << num_shards << " mask "
             << mask;
       }
+    }
+  }
+}
+
+TEST(MergeSkylineCandidates, SignedZerosTiesAndRoundedSumsMatchReference) {
+  // Values from a tiny pool: -0.0/+0.0 (equal), exact ties, and 1e20
+  // beside 0 and 1, whose coordinate sums round equal.
+  const double pool[] = {-0.0, 0.0, 1.0, 1e20, -1e20};
+  std::mt19937 rng(2026);
+  Dataset data(3);
+  for (int i = 0; i < 120; ++i) {
+    data.AddRow({pool[rng() % 5], pool[rng() % 5], pool[rng() % 5]});
+  }
+  const std::unique_ptr<RouterTopology> topology = LoadTopology(data);
+  for (const size_t num_shards : {1u, 2u, 4u}) {
+    const HashRing ring(num_shards, /*seed=*/0);
+    std::vector<std::vector<ObjectId>> shard_rows(num_shards);
+    for (ObjectId id = 0; id < data.num_objects(); ++id) {
+      shard_rows[ring.OwnerOf(id)].push_back(id);
+    }
+    for (DimMask mask = 1; mask <= data.full_mask(); ++mask) {
+      std::vector<ObjectId> candidates;
+      for (const std::vector<ObjectId>& rows : shard_rows) {
+        if (rows.empty()) continue;
+        const std::vector<ObjectId> local =
+            ComputeSkylineAmong(data, mask, rows);
+        candidates.insert(candidates.end(), local.begin(), local.end());
+      }
+      ASSERT_EQ(MergeSkylineCandidates(topology->rows(), mask, candidates),
+                ReferenceSkyline(data, mask))
+          << "shards " << num_shards << " mask " << mask;
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -133,6 +134,22 @@ TEST(ShardedSkycubeService, InsertsStayOracleIdentical) {
   }
   ASSERT_EQ(sharded.topology().total_rows(), 220u);
   ExpectOracleIdentical(sharded, *single.service, dims);
+}
+
+TEST(ShardedSkycubeService, NonFiniteInsertIsRefusedAtTheRouter) {
+  const int dims = 3;
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  ShardedSkycubeService sharded(MakeData(50, dims, 5), options);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    const QueryResponse refused =
+        sharded.Execute(QueryRequest::Insert({0.5, bad, 0.5}));
+    EXPECT_FALSE(refused.ok);
+    EXPECT_EQ(refused.code, StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(sharded.topology().total_rows(), 50u);
 }
 
 TEST(ShardedSkycubeService, SecondPassRunsOnShardCaches) {

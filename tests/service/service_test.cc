@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -335,6 +337,33 @@ TEST(SkycubeServiceTest, InsertAppliesBumpsVersionAndReportsPath) {
       QueryRequest::Membership(inserted, data.full_mask()));
   ASSERT_TRUE(member.ok) << member.error;
   EXPECT_TRUE(member.member);
+}
+
+TEST(SkycubeServiceTest, NonFiniteInsertIsRefusedAndNeverApplied) {
+  // A NaN would break SFS's strict weak ordering and every dominance
+  // comparison; an infinity turns coordinate sums into NaN. Neither may
+  // reach the maintainer.
+  const Dataset data = MakeData(40, 3, 9);
+  IncrementalCubeMaintainer maintainer(data);
+  MaintainerInsertHandler handler(&maintainer);
+  SkycubeService service(
+      std::make_shared<const CompressedSkylineCube>(maintainer.MakeCube()));
+  service.AttachInsertHandler(&handler);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& row :
+       {std::vector<double>{nan, 0.5, 0.5}, std::vector<double>{0.5, inf, 0.5},
+        std::vector<double>{0.5, 0.5, -inf}}) {
+    const QueryResponse refused = service.Execute(QueryRequest::Insert(row));
+    EXPECT_FALSE(refused.ok);
+    EXPECT_EQ(refused.code, StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.error.find("finite"), std::string::npos);
+  }
+  EXPECT_EQ(service.stats().invalid_requests, 3u);
+  EXPECT_EQ(service.stats().inserts_applied, 0u);
+  EXPECT_EQ(service.snapshot_version(), 1u);
+  EXPECT_EQ(maintainer.data().num_objects(), data.num_objects());
 }
 
 TEST(SkycubeServiceTest, InsertInvalidatesCachedAnswers) {

@@ -49,6 +49,30 @@ TEST(SkylineAlgorithmsTest, SingleDimensionKeepsAllMinima) {
   }
 }
 
+TEST(SkylineAlgorithmsTest, RoundedEqualSumsStillPresortTheDominatorFirst) {
+  // Row 1 dominates row 0, yet both coordinate sums round to 1e20. A
+  // presort that broke the tie by id would put the dominated row first and
+  // keep it; ties must fall back to lexicographic row order.
+  const Dataset data = Dataset::FromRows({{1e20, 1}, {1e20, 0}}).value();
+  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
+    EXPECT_EQ(ComputeSkyline(data, data.full_mask(), algorithm),
+              (std::vector<ObjectId>{1}))
+        << SkylineAlgorithmName(algorithm);
+  }
+  // The same case inside a larger set, with the dominator listed last and
+  // signed zeros that compare equal.
+  const Dataset mixed = Dataset::FromRows({{1e20, 1, -0.0},
+                                           {5, 5, 5},
+                                           {1e20, 1, 0.0},
+                                           {1e20, 0, 0.0}})
+                            .value();
+  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
+    EXPECT_EQ(ComputeSkyline(mixed, mixed.full_mask(), algorithm),
+              (std::vector<ObjectId>{1, 3}))
+        << SkylineAlgorithmName(algorithm);
+  }
+}
+
 TEST(SkylineAlgorithmsTest, AllObjectsIdentical) {
   const Dataset data =
       Dataset::FromRows({{1, 2}, {1, 2}, {1, 2}}).value();

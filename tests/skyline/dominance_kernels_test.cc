@@ -1,15 +1,19 @@
-// Property tests for the rank-compressed columnar dominance kernels:
-// every kernel must match its scalar double-precision oracle bit-for-bit
-// on random datasets across distributions, tie profiles, and subspaces,
-// and every ranked algorithm must reproduce the scalar skyline exactly.
+// Property tests for the columnar dominance kernels: every kernel must
+// match its row-major oracle (skyline/dominance.h, Dataset masks) exactly
+// on random datasets across distributions, tie profiles, signed zeros and
+// subspaces, and every algorithm and pipeline built on them must reproduce
+// the reference skyline and reference cube exactly.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bitset.h"
+#include "core/reference.h"
 #include "core/skyey.h"
 #include "core/stellar.h"
 #include "datagen/synthetic.h"
@@ -22,6 +26,19 @@
 
 namespace skycube {
 namespace {
+
+// 300 rows over a tiny value pool: -0.0/+0.0 mixes (equal under IEEE ==),
+// exact ties, and large-magnitude values whose coordinate sums round equal.
+Dataset EdgeCaseDataset() {
+  const double pool[] = {-0.0, 0.0, 1.0, 1e20, -1e20, 0.5};
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> row;
+    for (int k = 0; k < 5; ++k) row.push_back(pool[(i * 7 + k * 13 + i / 3) % 6]);
+    rows.push_back(std::move(row));
+  }
+  return Dataset::FromRows(std::move(rows)).value();
+}
 
 std::vector<Dataset> TestDatasets() {
   std::vector<Dataset> datasets;
@@ -39,6 +56,7 @@ std::vector<Dataset> TestDatasets() {
       datasets.push_back(GenerateSynthetic(spec));
     }
   }
+  datasets.push_back(EdgeCaseDataset());
   return datasets;
 }
 
@@ -47,13 +65,16 @@ std::vector<DimMask> TestSubspaces(const Dataset& data) {
 }
 
 TEST(RankedViewTest, RanksPreserveOrderAndTies) {
+  // The view is a plain transpose: every column entry is the row value,
+  // so column comparisons are the row comparisons.
   for (const Dataset& data : TestDatasets()) {
     const RankedView view(data);
+    ASSERT_EQ(view.num_objects(), data.num_objects());
+    ASSERT_EQ(view.num_dims(), data.num_dims());
     for (int dim = 0; dim < data.num_dims(); ++dim) {
-      const uint32_t* col = view.column(dim);
-      uint32_t max_rank = 0;
+      const double* col = view.column(dim);
       for (ObjectId a = 0; a < data.num_objects(); ++a) {
-        max_rank = std::max(max_rank, col[a]);
+        EXPECT_EQ(std::signbit(col[a]), std::signbit(data.Value(a, dim)));
         for (ObjectId b = a + 1; b < data.num_objects(); ++b) {
           const double va = data.Value(a, dim);
           const double vb = data.Value(b, dim);
@@ -61,36 +82,26 @@ TEST(RankedViewTest, RanksPreserveOrderAndTies) {
           EXPECT_EQ(col[a] == col[b], va == vb);
         }
       }
-      EXPECT_EQ(view.num_distinct(dim), max_rank + 1);
-      // SortedOrder walks values ascending, ids ascending within ties.
-      const uint32_t* order = view.SortedOrder(dim);
-      for (size_t i = 1; i < data.num_objects(); ++i) {
-        const double prev = data.Value(order[i - 1], dim);
-        const double cur = data.Value(order[i], dim);
-        EXPECT_TRUE(prev < cur || (prev == cur && order[i - 1] < order[i]));
-      }
     }
   }
 }
 
 TEST(DominanceKernelsTest, PairwiseKernelsMatchScalarOracle) {
+  // Every batch kernel on a one-element batch is a pairwise kernel.
   for (const Dataset& data : TestDatasets()) {
     const RankedView view(data);
     for (DimMask subspace : TestSubspaces(data)) {
       for (ObjectId a = 0; a < 64; ++a) {
         for (ObjectId b = 0; b < 64; ++b) {
-          const double* row_a = data.Row(a);
-          const double* row_b = data.Row(b);
-          EXPECT_EQ(CompareRanked(view, a, b, subspace),
-                    CompareRows(row_a, row_b, subspace));
-          EXPECT_EQ(RankedDominates(view, a, b, subspace),
-                    RowDominates(row_a, row_b, subspace));
-          EXPECT_EQ(RankedDominatesOrEqual(view, a, b, subspace),
-                    RowDominatesOrEqual(row_a, row_b, subspace));
-          EXPECT_EQ(view.DominanceMask(a, b, subspace),
-                    data.DominanceMask(a, b, subspace));
-          EXPECT_EQ(view.CoincidenceMask(a, b, subspace),
-                    data.CoincidenceMask(a, b, subspace));
+          DimMask mask = 0;
+          DominanceMasks(view, a, &b, 1, subspace, &mask);
+          EXPECT_EQ(mask, data.DominanceMask(a, b, subspace));
+          CoincidenceMasks(view, a, &b, 1, subspace, &mask);
+          EXPECT_EQ(mask, data.CoincidenceMask(a, b, subspace));
+          DynamicBitset dominated(1);
+          DominatedBitmap(view, a, &b, 1, subspace, &dominated);
+          EXPECT_EQ(dominated.Test(0),
+                    RowDominates(data.Row(a), data.Row(b), subspace));
         }
       }
     }
@@ -134,11 +145,11 @@ TEST(DominanceKernelsTest, BlockKernelsMatchScalarOracle) {
     }
     for (DimMask subspace : TestSubspaces(data)) {
       const RankedBlock block = RankedBlock::Gather(view, subspace, block_ids);
-      std::vector<uint32_t> probe(
+      std::vector<double> probe(
           static_cast<size_t>(std::max(block.num_packed_dims(), 1)));
       std::vector<uint8_t> flags(block_ids.size());
       for (ObjectId target = 0; target < 32; ++target) {
-        block.GatherProbe(target, probe.data());
+        block.GatherProbe(data.Row(target), probe.data());
         bool any = false;
         for (ObjectId id : block_ids) {
           any = any || RowDominates(data.Row(id), data.Row(target), subspace);
@@ -181,15 +192,17 @@ TEST(DominanceKernelsTest, PairwiseTileMatchesScalarMasks) {
   }
 }
 
-TEST(DominanceKernelsTest, RankSortKeyIsMonotoneUnderDominance) {
+TEST(DominanceKernelsTest, PresortOrderIsMonotoneUnderDominance) {
   for (const Dataset& data : TestDatasets()) {
-    const RankedView view(data);
     for (DimMask subspace : TestSubspaces(data)) {
       for (ObjectId a = 0; a < 80; ++a) {
         for (ObjectId b = 0; b < 80; ++b) {
           if (RowDominates(data.Row(a), data.Row(b), subspace)) {
-            EXPECT_LT(view.RankSortKey(a, subspace),
-                      view.RankSortKey(b, subspace));
+            EXPECT_LE(SortScore(data.Row(a), subspace),
+                      SortScore(data.Row(b), subspace));
+            EXPECT_TRUE(PresortBefore(data, subspace,
+                                      MakePresortEntry(data, subspace, a),
+                                      MakePresortEntry(data, subspace, b)));
           }
         }
       }
@@ -199,25 +212,25 @@ TEST(DominanceKernelsTest, RankSortKeyIsMonotoneUnderDominance) {
 
 TEST(DominanceKernelsTest, AllTiesRegression) {
   // Every object identical: nothing dominates anything, every kernel must
-  // report ties, and every ranked algorithm must keep all objects.
+  // report ties, and every algorithm must keep all objects.
   const Dataset data =
       Dataset::FromRows({{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}}).value();
   const RankedView view(data);
   const DimMask full = data.full_mask();
   std::vector<ObjectId> ids(data.num_objects());
   std::iota(ids.begin(), ids.end(), 0);
+  std::vector<DimMask> masks(ids.size());
   for (ObjectId a = 0; a < data.num_objects(); ++a) {
-    for (ObjectId b = 0; b < data.num_objects(); ++b) {
-      EXPECT_EQ(CompareRanked(view, a, b, full), DomOrder::kEqual);
-      EXPECT_FALSE(RankedDominates(view, a, b, full));
-      EXPECT_EQ(view.CoincidenceMask(a, b, full), full);
-    }
+    CoincidenceMasks(view, a, ids.data(), ids.size(), full, masks.data());
+    for (DimMask mask : masks) EXPECT_EQ(mask, full);
+    DominanceMasks(view, a, ids.data(), ids.size(), full, masks.data());
+    for (DimMask mask : masks) EXPECT_EQ(mask, DimMask{0});
   }
   DynamicBitset dominated(ids.size());
   DominatedBitmap(view, 0, ids.data(), ids.size(), full, &dominated);
   EXPECT_FALSE(dominated.Any());
   for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-    EXPECT_EQ(ComputeSkylineRanked(view, full, algorithm), ids)
+    EXPECT_EQ(ComputeSkyline(view, full, algorithm), ids)
         << SkylineAlgorithmName(algorithm);
   }
 }
@@ -226,9 +239,9 @@ TEST(RankedAlgorithmsTest, MatchScalarAlgorithmsOnAllSubspaces) {
   for (const Dataset& data : TestDatasets()) {
     const RankedView view(data);
     for (DimMask subspace : TestSubspaces(data)) {
+      const std::vector<ObjectId> expected = ReferenceSkyline(data, subspace);
       for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-        EXPECT_EQ(ComputeSkylineRanked(view, subspace, algorithm),
-                  ComputeSkyline(data, subspace, algorithm))
+        EXPECT_EQ(ComputeSkyline(view, subspace, algorithm), expected)
             << SkylineAlgorithmName(algorithm) << " subspace=" << subspace;
       }
     }
@@ -242,11 +255,20 @@ TEST(RankedAlgorithmsTest, CandidateRestrictionMatchesScalar) {
     for (ObjectId id = 1; id < data.num_objects(); id += 3) {
       candidates.push_back(id);
     }
+    // Oracle: the reference skyline of the candidate rows on their own.
+    std::vector<std::vector<double>> rows;
+    for (ObjectId id : candidates) {
+      rows.emplace_back(data.Row(id), data.Row(id) + data.num_dims());
+    }
+    const Dataset subset = Dataset::FromRows(std::move(rows)).value();
+    std::vector<ObjectId> expected;
+    for (ObjectId local : ReferenceSkyline(subset, subset.full_mask())) {
+      expected.push_back(candidates[local]);
+    }
     for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-      EXPECT_EQ(ComputeSkylineAmongRanked(view, data.full_mask(), candidates,
-                                          algorithm),
-                ComputeSkylineAmong(data, data.full_mask(), candidates,
-                                    algorithm))
+      EXPECT_EQ(ComputeSkylineAmong(view, data.full_mask(), candidates,
+                                    algorithm),
+                expected)
           << SkylineAlgorithmName(algorithm);
     }
   }
@@ -254,18 +276,13 @@ TEST(RankedAlgorithmsTest, CandidateRestrictionMatchesScalar) {
 
 TEST(RankedPipelinesTest, StellarIdenticalRankedVsDouble) {
   for (const Dataset& data : TestDatasets()) {
-    StellarOptions ranked_options;
-    ranked_options.use_ranked_kernels = true;
-    ranked_options.force_ranked_kernels = true;
-    StellarOptions double_options;
-    double_options.use_ranked_kernels = false;
+    const SkylineGroupSet expected = ComputeReferenceCube(data);
     for (StellarOptions::MatrixMode mode :
          {StellarOptions::MatrixMode::kMaterialize,
           StellarOptions::MatrixMode::kOnTheFly}) {
-      ranked_options.matrix_mode = mode;
-      double_options.matrix_mode = mode;
-      EXPECT_EQ(ComputeStellar(data, ranked_options),
-                ComputeStellar(data, double_options));
+      StellarOptions options;
+      options.matrix_mode = mode;
+      EXPECT_EQ(ComputeStellar(data, options), expected);
     }
   }
 }
@@ -276,13 +293,7 @@ TEST(RankedPipelinesTest, SkyeyIdenticalRankedVsDouble) {
   spec.num_dims = 4;
   spec.truncate_decimals = 1;
   const Dataset data = GenerateSynthetic(spec);
-  SkyeyOptions ranked_options;
-  ranked_options.use_ranked_kernels = true;
-  ranked_options.force_ranked_kernels = true;
-  SkyeyOptions double_options;
-  double_options.use_ranked_kernels = false;
-  EXPECT_EQ(ComputeSkyey(data, ranked_options),
-            ComputeSkyey(data, double_options));
+  EXPECT_EQ(ComputeSkyey(data), ComputeReferenceCube(data));
 }
 
 TEST(RankedPipelinesTest, ParallelSkycubeDeterministic) {
@@ -291,33 +302,30 @@ TEST(RankedPipelinesTest, ParallelSkycubeDeterministic) {
   spec.num_dims = 5;
   spec.truncate_decimals = 2;
   const Dataset data = GenerateSynthetic(spec);
-  // Reference: sequential, double path.
-  SkycubeOptions reference_options;
-  reference_options.num_threads = 1;
-  reference_options.use_ranked_kernels = false;
-  std::vector<std::pair<DimMask, std::vector<ObjectId>>> reference;
-  ForEachSubspaceSkyline(
-      data, reference_options,
-      [&](DimMask mask, const std::vector<ObjectId>& skyline) {
-        reference.emplace_back(mask, skyline);
-      });
+  // Every node's skyline is the reference skyline, and the visit order of
+  // the parallel fan-out is the sequential one.
+  std::vector<std::pair<DimMask, std::vector<ObjectId>>> sequential;
   for (int num_threads : {1, 0}) {
-    for (bool use_ranked : {false, true}) {
-      SkycubeOptions options;
-      options.num_threads = num_threads;
-      options.use_ranked_kernels = use_ranked;
-      options.force_ranked_kernels = use_ranked;
-      std::vector<std::pair<DimMask, std::vector<ObjectId>>> visited;
-      SkycubeStats stats;
-      ForEachSubspaceSkyline(
-          data, options,
-          [&](DimMask mask, const std::vector<ObjectId>& skyline) {
-            visited.emplace_back(mask, skyline);
-          },
-          &stats);
-      EXPECT_EQ(visited, reference)
-          << "threads=" << num_threads << " ranked=" << use_ranked;
-      EXPECT_EQ(stats.subspaces_visited, reference.size());
+    SkycubeOptions options;
+    options.num_threads = num_threads;
+    std::vector<std::pair<DimMask, std::vector<ObjectId>>> visited;
+    SkycubeStats stats;
+    ForEachSubspaceSkyline(
+        data, options,
+        [&](DimMask mask, const std::vector<ObjectId>& skyline) {
+          visited.emplace_back(mask, skyline);
+        },
+        &stats);
+    for (const auto& [mask, skyline] : visited) {
+      EXPECT_EQ(skyline, ReferenceSkyline(data, mask))
+          << "threads=" << num_threads << " mask=" << mask;
+    }
+    EXPECT_EQ(stats.subspaces_visited, (1u << data.num_dims()) - 1);
+    EXPECT_EQ(visited.size(), stats.subspaces_visited);
+    if (num_threads == 1) {
+      sequential = std::move(visited);
+    } else {
+      EXPECT_EQ(visited, sequential);
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -248,6 +249,25 @@ TEST(WalTest, RowPayloadCodec) {
   EXPECT_EQ(decoded.value(), row);
   EXPECT_FALSE(DecodeRowPayload("garbage").ok());
   EXPECT_FALSE(DecodeRowPayload("").ok());
+}
+
+TEST(WalTest, RowDecodersRefuseNonFiniteValues) {
+  // Replay and replication decode through these; a non-finite row must
+  // never come back into the dataset, even from a checksummed record.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> row = {1.0, bad, 2.0};
+    const Result<std::vector<double>> legacy =
+        DecodeRowPayload(EncodeRowPayload(row));
+    EXPECT_FALSE(legacy.ok());
+    EXPECT_EQ(legacy.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(DecodeOpPayload(EncodeRowPayload(row)).ok());
+    const Result<WalOpRecord> insert =
+        DecodeOpPayload(EncodeInsertPayload(row, /*row=*/3, /*ts=*/0));
+    EXPECT_FALSE(insert.ok());
+    EXPECT_EQ(insert.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // --- Op-typed (v3) payloads ----------------------------------------------

@@ -250,7 +250,8 @@ std::vector<ObjectId> SurvivorSkyline(const Oracle& oracle,
 std::string IdListPreview(const std::vector<ObjectId>& ids) {
   std::string out;
   for (size_t i = 0; i < ids.size() && i < 12; ++i) {
-    out += (i == 0 ? "" : " ") + std::to_string(ids[i]);
+    if (i > 0) out += ' ';
+    out += std::to_string(ids[i]);
   }
   if (ids.size() > 12) out += " ...";
   return out;
@@ -719,9 +720,9 @@ int ReplicationMain(const std::string& serve, const std::string& router,
         "--port=0",
     };
     replicas[s] = Spawn(serve, replica_args);
-    endpoints += (s == 0 ? "" : ",") + std::string("127.0.0.1:") +
-                 std::to_string(primaries[s].port) + "+127.0.0.1:" +
-                 std::to_string(replicas[s].port);
+    if (s > 0) endpoints += ',';
+    endpoints += "127.0.0.1:" + std::to_string(primaries[s].port) +
+                 "+127.0.0.1:" + std::to_string(replicas[s].port);
     std::fprintf(stderr, "shard %zu primary pid %d port %u, replica pid %d "
                  "port %u\n",
                  s, static_cast<int>(primaries[s].pid),
