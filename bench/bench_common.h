@@ -10,6 +10,7 @@
 #ifndef SKYCUBE_BENCH_BENCH_COMMON_H_
 #define SKYCUBE_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +43,16 @@ inline Dataset PaperSynthetic(Distribution distribution, size_t num_objects,
   return GenerateSynthetic(spec);
 }
 
+/// The service benches' base dataset: --tuples (2000) independent rows of
+/// --dims (6) dimensions from --seed (42), as skycube_serve --synthetic
+/// generates it with the same flags.
+inline Dataset BenchData(const FlagParser& flags) {
+  return PaperSynthetic(Distribution::kIndependent,
+                        static_cast<size_t>(flags.GetInt("tuples", 2000)),
+                        static_cast<int>(flags.GetInt("dims", 6)),
+                        static_cast<uint64_t>(flags.GetInt("seed", 42)));
+}
+
 /// The NBA-like table in algorithm convention (smaller is better).
 inline Dataset PaperNba(uint64_t seed = 2007) {
   return GenerateNbaLike(kNbaLikeDefaultPlayers, seed).Negated();
@@ -53,6 +64,17 @@ double TimeIt(Fn&& fn) {
   WallTimer timer;
   fn();
   return timer.ElapsedSeconds();
+}
+
+/// The p-quantile (0..1) of latencies given in seconds, in microseconds;
+/// 0 for an empty sample. Reorders the vector.
+inline double PercentileUs(std::vector<double>* latencies, double p) {
+  if (latencies->empty()) return 0;
+  const size_t k = static_cast<size_t>(
+      p * static_cast<double>(latencies->size() - 1));
+  std::nth_element(latencies->begin(), latencies->begin() + k,
+                   latencies->end());
+  return (*latencies)[k] * 1e6;
 }
 
 /// Standard header line for a harness.

@@ -5,16 +5,17 @@
 //   1  in-process baseline: cached cardinality queries straight into
 //      SkycubeService::Execute on this thread — the floor the wire path is
 //      compared against (the "within 2x" budget of ROADMAP item 2);
-//   2  loopback sweep: a forked child process runs a real NetServer; this
+//   2  loopback sweep: a child skycube_serve (../tools/skycube_serve
+//      next to this binary) serves the same rows in socket mode; this
 //      process drives C concurrent connections with P-deep pipelines from a
 //      single epoll client loop and measures RPS and end-to-end p50/p95/p99
-//      (the fork is load-bearing: the container's fd ceiling is 20000, so
+//      (the second process is load-bearing: with an fd ceiling of 20000,
 //      10k client sockets and 10k server sockets must live in different
 //      processes);
-//   3  overload: a second child with a tiny dispatch queue and admission
-//      gate, driven past saturation — sheds must come back as explicit
-//      kResourceExhausted response frames (never silent drops or stalls),
-//      while admitted requests still complete.
+//   3  overload: a second serve child with a tiny dispatch queue and
+//      admission gate, driven past saturation — sheds must come back as
+//      explicit kResourceExhausted response frames (never silent drops or
+//      stalls), while admitted requests still complete.
 //
 // Flags: --connections=1,64,1024[,...]  sweep rows
 //        --requests=N      total requests per sweep row
@@ -28,7 +29,6 @@
 #include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -39,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -48,17 +49,13 @@
 #include "common/timer.h"
 #include "core/cube.h"
 #include "core/maintenance.h"
+#include "harness/harness.h"
 #include "net/protocol.h"
-#include "net/server.h"
-#include "service/ingest.h"
 #include "service/request.h"
 #include "service/service.h"
 
 namespace skycube::bench {
 namespace {
-
-volatile sig_atomic_t g_child_term = 0;
-void OnChildTerm(int) { g_child_term = 1; }
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -73,100 +70,31 @@ double NowSeconds() {
 constexpr size_t kStatusByte = 10;
 constexpr size_t kCacheHitByte = 11;
 
-Dataset BenchData(const FlagParser& flags) {
-  return PaperSynthetic(Distribution::kIndependent,
-                        static_cast<size_t>(flags.GetInt("tuples", 2000)),
-                        static_cast<int>(flags.GetInt("dims", 6)),
-                        static_cast<uint64_t>(flags.GetInt("seed", 42)));
-}
+// --- Server children ------------------------------------------------------
 
-// --- Server child ---------------------------------------------------------
-
-struct ChildServer {
-  pid_t pid = -1;
-  uint16_t port = 0;
-};
-
-/// The forked server body: builds its own cube + service + NetServer,
-/// reports the bound port through `port_fd`, serves until SIGTERM, drains,
-/// and exits without returning.
-[[noreturn]] void RunServerChild(int port_fd, const FlagParser& flags,
-                                 bool overload) {
-  signal(SIGTERM, OnChildTerm);
-  Dataset data = BenchData(flags);
-  IncrementalCubeMaintainer maintainer(std::move(data));
-  MaintainerInsertHandler handler(&maintainer);
-  auto cube =
-      std::make_shared<const CompressedSkylineCube>(maintainer.MakeCube());
-
-  SkycubeServiceOptions service_options;
-  net::NetServerOptions net_options;
+/// Starts a real skycube_serve (the sibling of this binary's build
+/// directory) on an ephemeral port over the same synthetic rows as
+/// BenchData. The overload child has every layer of backpressure squeezed
+/// down so saturation is cheap to reach: no cache (every query computes),
+/// an admission gate of 4 with no queue wait, one dispatch worker, and a
+/// near-empty dispatch queue.
+Result<harness::Child> SpawnServer(const FlagParser& flags, const char* argv0,
+                                   bool overload) {
+  std::vector<std::string> args = {
+      "--synthetic",
+      "--dist=independent",
+      "--tuples=" + std::to_string(flags.GetInt("tuples", 2000)),
+      "--dims=" + std::to_string(flags.GetInt("dims", 6)),
+      "--seed=" + std::to_string(flags.GetInt("seed", 42)),
+      "--port=0",
+  };
   if (overload) {
-    // Every layer of backpressure squeezed down so saturation is cheap to
-    // reach: no cache (every query computes), one dispatch worker, a
-    // near-empty dispatch queue, and an admission gate behind it.
-    service_options.cache.capacity = 0;
-    service_options.max_in_flight = 4;
-    service_options.queue_wait_timeout = std::chrono::milliseconds(0);
-    net_options.dispatch_threads = 1;
-    net_options.dispatch_queue_capacity = 8;
+    args.insert(args.end(), {"--cache-capacity=0", "--max-in-flight=4",
+                             "--queue-wait-ms=0", "--net-threads=1",
+                             "--net-queue=8"});
   }
-  SkycubeService service(cube, service_options);
-  service.AttachInsertHandler(&handler);
-
-  net_options.port = 0;
-  net::NetServer server(&service, net_options);
-  const Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "bench server child: %s\n",
-                 started.ToString().c_str());
-    _exit(3);
-  }
-  const uint16_t port = server.port();
-  if (write(port_fd, &port, sizeof(port)) != ssize_t(sizeof(port))) _exit(3);
-  close(port_fd);
-
-  server.Run([&server] { if (g_child_term != 0) server.BeginDrain(); },
-             /*tick_millis=*/50);
-  service.BeginDrain();
-  _exit(0);
-}
-
-/// Forks the server child *before this process creates any threads* and
-/// reads the ephemeral port it bound.
-ChildServer SpawnServer(const FlagParser& flags, bool overload) {
-  int port_pipe[2];
-  if (pipe(port_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    close(port_pipe[0]);
-    RunServerChild(port_pipe[1], flags, overload);
-  }
-  close(port_pipe[1]);
-  ChildServer child;
-  child.pid = pid;
-  uint16_t port = 0;
-  if (read(port_pipe[0], &port, sizeof(port)) != ssize_t(sizeof(port))) {
-    std::fprintf(stderr, "bench: server child died before binding\n");
-    std::exit(1);
-  }
-  close(port_pipe[0]);
-  child.port = port;
-  return child;
-}
-
-int StopServer(ChildServer* child) {
-  kill(child->pid, SIGTERM);
-  int status = 0;
-  waitpid(child->pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return harness::Child::SpawnListening(harness::DefaultServePath(argv0),
+                                        args);
 }
 
 // --- Epoll client driver --------------------------------------------------
@@ -429,15 +357,6 @@ DriveResult DriveLoad(uint16_t port, size_t conns, uint32_t per_conn,
   return result;
 }
 
-double PercentileUs(std::vector<double>* latencies, double p) {
-  if (latencies->empty()) return 0;
-  const size_t k = static_cast<size_t>(
-      p * static_cast<double>(latencies->size() - 1));
-  std::nth_element(latencies->begin(), latencies->begin() + k,
-                   latencies->end());
-  return (*latencies)[k] * 1e6;
-}
-
 // --- Phases ---------------------------------------------------------------
 
 struct InprocBaseline {
@@ -493,14 +412,28 @@ int Main(int argc, char** argv) {
   PrintHeader("net throughput: loopback wire protocol vs in-process", full);
   BenchJson json(flags, "net_throughput");
 
-  // Fork both server children before any work (and before any thread) so
-  // fork() never duplicates a running pool.
-  ChildServer server = SpawnServer(flags, /*overload=*/false);
+  // Both server children start before any work, so they build their
+  // cubes while nothing is measured.
+  Result<harness::Child> spawned =
+      SpawnServer(flags, argv[0], /*overload=*/false);
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "FAIL %s\n", spawned.status().ToString().c_str());
+    return 1;
+  }
+  harness::Child server = std::move(spawned).value();
   const bool overload = flags.GetBool("overload", true);
-  ChildServer overload_server;
-  if (overload) overload_server = SpawnServer(flags, /*overload=*/true);
-  std::printf("server child pid %d on port %u%s\n\n", int(server.pid),
-              unsigned(server.port), overload ? " (+overload child)" : "");
+  harness::Child overload_server;
+  if (overload) {
+    spawned = SpawnServer(flags, argv[0], /*overload=*/true);
+    if (!spawned.ok()) {
+      std::fprintf(stderr, "FAIL %s\n",
+                   spawned.status().ToString().c_str());
+      return 1;
+    }
+    overload_server = std::move(spawned).value();
+  }
+  std::printf("server child pid %d on port %u%s\n\n", int(server.pid()),
+              unsigned(server.port()), overload ? " (+overload child)" : "");
 
   const int dims = static_cast<int>(flags.GetInt("dims", 6));
   const DimMask full_mask = FullMask(dims);
@@ -533,7 +466,8 @@ int Main(int argc, char** argv) {
     if (conns == 0) continue;
     const uint32_t per_conn = static_cast<uint32_t>(
         std::max<uint64_t>(pipeline, total_target / conns));
-    DriveResult run = DriveLoad(server.port, conns, per_conn, pipeline, frame);
+    DriveResult run =
+        DriveLoad(server.port(), conns, per_conn, pipeline, frame);
     if (run.failed) {
       std::fprintf(stderr, "FAIL sweep conns=%zu: %s\n", conns,
                    run.error.c_str());
@@ -558,7 +492,8 @@ int Main(int argc, char** argv) {
   }
   EmitTable(sweep);
   json.AddTable("loopback_sweep", sweep);
-  const int sweep_exit = StopServer(&server);
+  server.Kill(SIGTERM);  // a clean drain exits 0
+  const int sweep_exit = server.Wait();
   if (sweep_exit != 0) {
     std::fprintf(stderr, "FAIL sweep server exited %d\n", sweep_exit);
     ++failures;
@@ -573,7 +508,7 @@ int Main(int argc, char** argv) {
     net::WireRequest hot;
     hot.op = net::Opcode::kCardinality;
     hot.subspace = full_mask;  // uncached in this child: every query computes
-    DriveResult run = DriveLoad(overload_server.port, conns, per_conn,
+    DriveResult run = DriveLoad(overload_server.port(), conns, per_conn,
                                 /*pipeline=*/32, net::EncodeRequest(hot));
     TablePrinter shed({"offered", "answered", "ok", "shed", "deadline",
                        "other", "shed_pct", "admitted_p50_ms",
@@ -609,7 +544,8 @@ int Main(int argc, char** argv) {
       EmitTable(shed);
       json.AddTable("overload", shed);
     }
-    const int overload_exit = StopServer(&overload_server);
+    overload_server.Kill(SIGTERM);
+    const int overload_exit = overload_server.Wait();
     if (overload_exit != 0) {
       std::fprintf(stderr, "FAIL overload server exited %d\n", overload_exit);
       ++failures;

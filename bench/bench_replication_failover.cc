@@ -40,32 +40,27 @@
 //        --failover=0             skip phase 3
 //        --full                   paper-sized row counts
 //        --json[=PATH]            machine-readable record
-#include <libgen.h>
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/deadline.h"
 #include "common/flags.h"
 #include "common/status.h"
 #include "common/subspace.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "net/client.h"
-#include "net/protocol.h"
+#include "harness/harness.h"
 #include "router/router.h"
 #include "service/request.h"
 #include "storage/durable_ingest.h"
@@ -78,22 +73,6 @@ double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-double PercentileUs(std::vector<double>* latencies, double p) {
-  if (latencies->empty()) return 0;
-  const size_t k = static_cast<size_t>(
-      p * static_cast<double>(latencies->size() - 1));
-  std::nth_element(latencies->begin(), latencies->begin() + k,
-                   latencies->end());
-  return (*latencies)[k] * 1e6;
-}
-
-Dataset BenchData(const FlagParser& flags) {
-  return PaperSynthetic(Distribution::kIndependent,
-                        static_cast<size_t>(flags.GetInt("tuples", 2000)),
-                        static_cast<int>(flags.GetInt("dims", 6)),
-                        static_cast<uint64_t>(flags.GetInt("seed", 42)));
 }
 
 /// The insert stream (disjoint seed from the base dataset).
@@ -272,98 +251,6 @@ IngestRun RunReplicated(const FlagParser& flags, const Dataset& inserts,
 
 // --- Phase 3: forked serve children + in-process router -------------------
 
-struct Child {
-  pid_t pid = -1;
-  FILE* stderr_from = nullptr;
-  uint16_t port = 0;
-};
-
-/// Forks + execs a skycube_serve and scrapes "listening on HOST:PORT" from
-/// its stderr (the same contract skycube_shardtest relies on).
-Child Spawn(const std::string& binary,
-            const std::vector<std::string>& args) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  close(err_pipe[1]);
-  Child child;
-  child.pid = pid;
-  child.stderr_from = fdopen(err_pipe[0], "r");
-  std::string line;
-  int c;
-  while ((c = std::fgetc(child.stderr_from)) != EOF) {
-    if (c != '\n') {
-      line.push_back(static_cast<char>(c));
-      continue;
-    }
-    if (line.rfind("listening on ", 0) == 0) {
-      const size_t colon = line.rfind(':');
-      child.port = static_cast<uint16_t>(
-          std::strtoul(line.c_str() + colon + 1, nullptr, 10));
-      return child;
-    }
-    line.clear();
-  }
-  std::fprintf(stderr, "FAIL no listen line from %s (last: '%s')\n",
-               binary.c_str(), line.c_str());
-  kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-void Reap(Child* child) {
-  if (child->pid > 0) {
-    kill(child->pid, SIGTERM);
-    int status = 0;
-    waitpid(child->pid, &status, 0);
-    child->pid = -1;
-  }
-  if (child->stderr_from != nullptr) {
-    fclose(child->stderr_from);
-    child->stderr_from = nullptr;
-  }
-}
-
-/// kReplState straight at one server: applied LSN + role.
-bool ReplState(uint16_t port, uint64_t* lsn, std::string* role) {
-  net::NetClient client;
-  if (!client.Connect("127.0.0.1", port).ok()) return false;
-  net::WireRequest request;
-  request.op = net::Opcode::kReplState;
-  request.id = 1;
-  if (!client.SendRequest(request).ok()) return false;
-  net::WireResponse response;
-  std::string error;
-  if (client.ReadResponse(&response, Deadline::AfterMillis(5000), &error) !=
-      net::NetClient::Got::kFrame) {
-    return false;
-  }
-  if (response.status != StatusCode::kOk) return false;
-  *lsn = response.lsn;
-  if (role != nullptr) *role = response.text;
-  return true;
-}
-
 struct FailoverRun {
   bool failed = false;
   double pre_kill_lag = 0;       // records, from the set's state probes
@@ -373,6 +260,9 @@ struct FailoverRun {
   double post_insert_ms = 0;     // fenced insert on the promoted primary
   uint64_t polls = 0;
 };
+
+/// Read deadline of one kReplState probe during the pre-kill catch-up wait.
+constexpr int64_t kReplStateTimeoutMillis = 5000;
 
 FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
                         const std::string& work_dir) {
@@ -389,25 +279,38 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
   std::vector<std::string> primary_args = source_args;
   primary_args.push_back("--data-dir=" + work_dir + "/failover-primary");
   primary_args.push_back("--port=0");
-  Child primary = Spawn(serve, primary_args);
+  Result<harness::Child> spawned =
+      harness::Child::SpawnListening(serve, primary_args);
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "FAIL %s\n", spawned.status().ToString().c_str());
+    run.failed = true;
+    return run;
+  }
+  harness::Child primary = std::move(spawned).value();
   const std::vector<std::string> replica_args = {
       "--data-dir=" + work_dir + "/failover-replica",
-      "--replica-of=127.0.0.1:" + std::to_string(primary.port),
+      "--replica-of=127.0.0.1:" + std::to_string(primary.port()),
       "--port=0",
   };
-  Child replica = Spawn(serve, replica_args);
+  spawned = harness::Child::SpawnListening(serve, replica_args);
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "FAIL %s\n", spawned.status().ToString().c_str());
+    run.failed = true;
+    return run;
+  }
+  harness::Child replica = std::move(spawned).value();
   std::printf("primary pid %d port %u, replica pid %d port %u\n",
-              static_cast<int>(primary.pid),
-              static_cast<unsigned>(primary.port),
-              static_cast<int>(replica.pid),
-              static_cast<unsigned>(replica.port));
+              static_cast<int>(primary.pid()),
+              static_cast<unsigned>(primary.port()),
+              static_cast<int>(replica.pid()),
+              static_cast<unsigned>(replica.port()));
 
   router::RouterOptions options;
   options.shard.down_after_failures = 2;
   options.shard.probe.initial_millis = 100;
   router::ShardEndpointSet endpoints;
-  endpoints.primary = {"127.0.0.1", primary.port};
-  endpoints.replicas.push_back({"127.0.0.1", replica.port});
+  endpoints.primary = {"127.0.0.1", primary.port()};
+  endpoints.replicas.push_back({"127.0.0.1", replica.port()});
   router::RouterExecutor executor(dims, {endpoints}, options);
   const Dataset base = BenchData(flags);
   for (ObjectId gid = 0; gid < static_cast<ObjectId>(base.num_objects());
@@ -432,8 +335,6 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     if (NowSeconds() - setup_start > 30.0) {
       std::fprintf(stderr, "FAIL no baseline answer within 30s\n");
       run.failed = true;
-      Reap(&primary);
-      Reap(&replica);
       return run;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -443,8 +344,11 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     uint64_t primary_lsn = 0;
     uint64_t replica_lsn = 0;
     std::string role;
-    if (ReplState(primary.port, &primary_lsn, nullptr) &&
-        ReplState(replica.port, &replica_lsn, &role) && role == "replica" &&
+    if (harness::ReplState(primary.port(), kReplStateTimeoutMillis,
+                           &primary_lsn, nullptr) &&
+        harness::ReplState(replica.port(), kReplStateTimeoutMillis,
+                           &replica_lsn, &role) &&
+        role == "replica" &&
         replica_lsn >= primary_lsn) {
       run.pre_kill_lag = static_cast<double>(
           primary_lsn > replica_lsn ? primary_lsn - replica_lsn : 0);
@@ -453,8 +357,6 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     if (NowSeconds() - setup_start > 30.0) {
       std::fprintf(stderr, "FAIL replica never caught up pre-kill\n");
       run.failed = true;
-      Reap(&primary);
-      Reap(&replica);
       return run;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -462,10 +364,8 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
 
   // Kill the primary, then hammer the same query until the answer is
   // complete and baseline-identical again.
-  kill(primary.pid, SIGKILL);
-  int status = 0;
-  waitpid(primary.pid, &status, 0);
-  primary.pid = -1;
+  primary.Kill(SIGKILL);
+  primary.Wait();
   const double t0 = NowSeconds();
   bool detected = false;
   bool promoted = false;
@@ -489,8 +389,6 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     if (now - t0 > 60.0) {
       std::fprintf(stderr, "FAIL no complete answer within 60s of kill\n");
       run.failed = true;
-      Reap(&primary);
-      Reap(&replica);
       return run;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -515,18 +413,12 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     run.failed = true;
   }
 
-  Reap(&primary);
-  Reap(&replica);
+  replica.Kill(SIGTERM);
+  replica.Wait();
   return run;
 }
 
 // --- Main -----------------------------------------------------------------
-
-std::string DefaultServePath(const char* argv0) {
-  std::vector<char> buffer(argv0, argv0 + std::strlen(argv0) + 1);
-  const std::string dir = dirname(buffer.data());
-  return dir + "/../tools/skycube_serve";
-}
 
 int Main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
@@ -647,7 +539,7 @@ int Main(int argc, char** argv) {
   // Phase 3: kill-the-primary failover timeline.
   if (flags.GetBool("failover", true)) {
     const std::string serve =
-        flags.GetString("serve", DefaultServePath(argv[0]));
+        flags.GetString("serve", harness::DefaultServePath(argv[0]));
     if (!std::filesystem::exists(serve)) {
       std::fprintf(stderr,
                    "FAIL serve binary not found at %s (pass --serve=PATH)\n",

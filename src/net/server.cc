@@ -24,6 +24,12 @@ Status Errno(const char* what) {
 /// few syscalls, small enough not to starve other connections.
 constexpr size_t kReadBudgetBytes = 256 * 1024;
 
+/// Pending-connection queue of the listening socket.
+constexpr int kListenBacklog = 1024;
+
+/// Unsent response bytes per connection before its reads pause.
+constexpr size_t kWriteHighWater = size_t{1} << 20;
+
 /// Closes a refused socket after its goaway was sent. The peer may already
 /// have written requests (connect + send races the refusal decision); a
 /// bare close() with those bytes unread — or still in flight — makes the
@@ -93,7 +99,7 @@ Status NetServer::Start() {
              sizeof(addr)) < 0) {
     return Errno("bind");
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) return Errno("listen");
+  if (::listen(listen_fd_, kListenBacklog) < 0) return Errno("listen");
   struct sockaddr_in bound = {};
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&bound),
@@ -233,7 +239,7 @@ void NetServer::ProcessFrames(Connection* conn) {
   std::string payload, error;
   for (;;) {
     if (conn->pending() >= options_.max_pipeline ||
-        conn->outbound_bytes() >= options_.write_high_water) {
+        conn->outbound_bytes() >= kWriteHighWater) {
       if (!conn->reads_paused) {
         conn->reads_paused = true;
         read_pauses_.fetch_add(1, std::memory_order_relaxed);
@@ -405,7 +411,7 @@ void NetServer::FlushAndUpdate(Connection* conn) {
     // extra round flushes any inline answers it produced.
     if (conn->reads_paused && !conn->close_after_flush &&
         conn->pending() < options_.max_pipeline &&
-        conn->outbound_bytes() < options_.write_high_water) {
+        conn->outbound_bytes() < kWriteHighWater) {
       conn->reads_paused = false;
       ProcessFrames(conn);
       continue;

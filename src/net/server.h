@@ -12,7 +12,7 @@
 // Backpressure is explicit at every layer; overload never accumulates
 // silently in kernel buffers:
 //  - per connection, at most `max_pipeline` decoded-but-unanswered requests
-//    and `write_high_water` unsent response bytes; beyond either, the
+//    and 1 MiB of unsent response bytes; beyond either, the
 //    server stops *reading* that socket (EPOLLIN withdrawn), so the
 //    client's own sends eventually block — TCP pushes the pressure back;
 //  - the dispatch pool queue is bounded; when full, the whole decoded
@@ -53,7 +53,6 @@ struct NetServerOptions {
   /// port, readable from NetServer::port() after Start().
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  int backlog = 1024;
 
   /// Worker threads executing service queries (0 = hardware concurrency).
   int dispatch_threads = 0;
@@ -62,8 +61,6 @@ struct NetServerOptions {
 
   /// Decoded-but-unanswered requests per connection before reads pause.
   size_t max_pipeline = 1024;
-  /// Unsent response bytes per connection before reads pause.
-  size_t write_high_water = size_t{1} << 20;
   /// Largest accepted frame payload.
   size_t max_frame_payload = kDefaultMaxPayload;
   /// Open connections beyond this are refused with kResourceExhausted

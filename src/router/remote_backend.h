@@ -16,10 +16,10 @@
 //
 // Failure policy: after down_after_failures consecutive transport failures
 // the shard is considered down and Start refuses immediately; probe calls
-// are let through on a jittered exponential-backoff schedule (ProbeBackoff,
-// matching CubeRebuilder's retry policy: probe.initial_millis doubling up
-// to probe.max_millis, ±20% jitter), and a single success fully revives the
-// shard and resets the schedule.
+// are let through on a jittered exponential-backoff schedule (ProbeBackoff
+// over common/backoff.h, the schedule CubeRebuilder retries on:
+// probe.initial_millis doubling up to probe.max_millis, ±20% jitter), and a
+// single success fully revives the shard and resets the schedule.
 #ifndef SKYCUBE_ROUTER_REMOTE_BACKEND_H_
 #define SKYCUBE_ROUTER_REMOTE_BACKEND_H_
 
@@ -53,7 +53,7 @@ struct RemoteShardOptions {
   /// declared down, and the probe schedule afterwards (jittered
   /// exponential backoff; a success resets it).
   int down_after_failures = 3;
-  ProbeBackoffOptions probe;
+  BackoffPolicy probe;
   /// Response payload ceiling (per connection FrameDecoder).
   size_t max_payload = net::kDefaultMaxPayload;
 };

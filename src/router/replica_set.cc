@@ -1,12 +1,23 @@
 #include "router/replica_set.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/deadline.h"
 #include "net/client.h"
 
 namespace skycube::router {
+namespace {
+
+/// Cached kReplState results older than this are re-probed before a
+/// failover decision or a Members() report.
+constexpr std::chrono::milliseconds kStateTtl{500};
+
+/// Per-call read timeout of control-plane requests.
+constexpr int64_t kControlTimeoutMillis = 2000;
+
+}  // namespace
 
 ReplicaSetBackend::ReplicaSetBackend(const ShardEndpointSet& endpoints,
                                      ReplicaSetOptions options)
@@ -40,7 +51,7 @@ Result<net::WireResponse> ReplicaSetBackend::ControlCall(
   net::WireResponse response;
   std::string error;
   const auto got = client.ReadResponse(
-      &response, Deadline::AfterMillis(options_.control_timeout_millis),
+      &response, Deadline::AfterMillis(kControlTimeoutMillis),
       &error);
   if (got != net::NetClient::Got::kFrame) {
     return Status::Unavailable("member stream failed: " +
@@ -56,8 +67,7 @@ void ReplicaSetBackend::RefreshStatesLocked() {
   const Clock::time_point now = Clock::now();
   for (auto& member : members_) {
     if (member->state_at != Clock::time_point::min() &&
-        now - member->state_at <
-            std::chrono::milliseconds(options_.state_ttl_millis)) {
+        now - member->state_at < kStateTtl) {
       continue;
     }
     net::WireRequest request;

@@ -8,6 +8,23 @@
 #include "router/merge.h"
 
 namespace skycube::router {
+namespace {
+
+/// Per-wave budget when the request carries no deadline.
+constexpr int64_t kDefaultBudgetMillis = 30000;
+
+/// Q3 fan-out guard: subspace enumeration is 2^d - 1 requests per shard.
+constexpr int kMaxEnumerationDims = 20;
+
+/// The budget of a mutation forwarded to its owner shard: the request's
+/// own deadline, or the default budget when it carries none.
+Deadline OwnerBudget(const Deadline& request_deadline) {
+  return request_deadline.infinite()
+             ? Deadline::AfterMillis(kDefaultBudgetMillis)
+             : request_deadline;
+}
+
+}  // namespace
 
 ScatterGather::ScatterGather(RouterTopology* topology,
                              std::vector<ShardBackend*> backends,
@@ -26,7 +43,7 @@ void ScatterGather::NoteVersion(uint64_t version) {
 
 Deadline ScatterGather::WaveBudget(const Deadline& request_deadline) const {
   if (request_deadline.infinite()) {
-    return Deadline::AfterMillis(options_.default_budget_millis);
+    return Deadline::AfterMillis(kDefaultBudgetMillis);
   }
   const auto remaining = request_deadline.remaining();
   if (remaining.count() <= 0) return Deadline::ExpiredNow();
@@ -134,7 +151,7 @@ ScatterGather::Wave ScatterGather::RunWave(
 
 ScatterGather::Merged ScatterGather::MergeWaveItem(
     const Wave& wave, size_t item_index, DimMask subspace,
-    const std::vector<ObjectId>& extra, Deadline budget) {
+    const std::vector<ObjectId>& extra, std::vector<uint8_t>* contributing) {
   Merged merged;
   std::vector<ObjectId> candidates(extra);
   size_t contributors = 0;
@@ -180,6 +197,7 @@ ScatterGather::Merged ScatterGather::MergeWaveItem(
     candidates.insert(candidates.end(), globals.begin(), globals.end());
     merged.version = std::max(merged.version, item.snapshot_version);
     merged.all_hit = merged.all_hit && item.cache_hit;
+    if (contributing != nullptr) (*contributing)[s] = 1;
     ++contributors;
   }
   // No shard contributed: the query has no reachable population at all
@@ -197,7 +215,6 @@ ScatterGather::Merged ScatterGather::MergeWaveItem(
                               std::memory_order_relaxed);
   merged.ids = MergeSkylineCandidates(topology_->rows(), subspace,
                                       std::move(candidates));
-  (void)budget;
   return merged;
 }
 
@@ -211,7 +228,7 @@ QueryResponse ScatterGather::ExecuteSkyline(const QueryRequest& request,
     return ErrorResponse(request, StatusCode::kUnavailable,
                          "no shard reachable");
   }
-  Merged merged = MergeWaveItem(wave, 0, request.subspace, {}, budget);
+  Merged merged = MergeWaveItem(wave, 0, request.subspace, {});
   if (!merged.ok) {
     return ErrorResponse(request, merged.code, std::move(merged.error));
   }
@@ -244,8 +261,7 @@ QueryResponse ScatterGather::ExecuteMembership(const QueryRequest& request) {
   // values), so membership degrades gracefully even when the owner shard
   // is down — and when it is up, transitivity guarantees a dominated
   // object is refiltered out by one of its shard's skyline rows.
-  Merged merged = MergeWaveItem(wave, 0, request.subspace,
-                                {request.object}, budget);
+  Merged merged = MergeWaveItem(wave, 0, request.subspace, {request.object});
   if (!merged.ok) {
     return ErrorResponse(request, merged.code, std::move(merged.error));
   }
@@ -269,7 +285,7 @@ QueryResponse ScatterGather::ExecuteMembership(const QueryRequest& request) {
 QueryResponse ScatterGather::ExecuteEnumeration(
     const QueryRequest& request) {
   const int dims = topology_->num_dims();
-  if (dims > options_.max_enumeration_dims) {
+  if (dims > kMaxEnumerationDims) {
     return ErrorResponse(
         request, StatusCode::kInvalidArgument,
         "skycube enumeration over " + std::to_string(dims) +
@@ -301,8 +317,7 @@ QueryResponse ScatterGather::ExecuteEnumeration(
                            "deadline expired during subspace merges");
     }
     Merged merged =
-        MergeWaveItem(wave, static_cast<size_t>(mask - 1), mask, extra,
-                      budget);
+        MergeWaveItem(wave, static_cast<size_t>(mask - 1), mask, extra);
     if (!merged.ok) {
       return ErrorResponse(request, merged.code, std::move(merged.error));
     }
@@ -326,25 +341,19 @@ QueryResponse ScatterGather::ExecuteEnumeration(
   return response;
 }
 
-QueryResponse ScatterGather::ExecuteInsert(const QueryRequest& request) {
-  // Serialize inserts: global ids are assigned by arrival order and the
-  // topology append must pair with exactly one shard acknowledgement.
-  MutexLock lock(&ingest_mu_);
-  const ObjectId gid = topology_->total_rows();
-  const size_t owner = topology_->OwnerOf(gid);
-  const Deadline budget = request.deadline.infinite()
-                              ? Deadline::AfterMillis(
-                                    options_.default_budget_millis)
-                              : request.deadline;
+QueryResponse ScatterGather::ForwardToOwner(const QueryRequest& request,
+                                            const QueryRequest& forward,
+                                            size_t owner, Deadline budget) {
+  const char* what = request.kind == QueryKind::kInsert ? "insert" : "delete";
   std::unique_ptr<ShardCall> call;
   if (!backends_[owner]->down()) {
-    call = backends_[owner]->Start({request}, budget);
+    call = backends_[owner]->Start({forward}, budget);
   }
   if (call == nullptr) {
     shard_losses_.fetch_add(1, std::memory_order_relaxed);
     return ErrorResponse(request, StatusCode::kUnavailable,
                          "owner shard " + std::to_string(owner) +
-                             " unreachable; insert not applied");
+                             " unreachable; " + what + " not applied");
   }
   shard_calls_.fetch_add(1, std::memory_order_relaxed);
   std::vector<QueryResponse> responses;
@@ -353,11 +362,22 @@ QueryResponse ScatterGather::ExecuteInsert(const QueryRequest& request) {
     shard_losses_.fetch_add(1, std::memory_order_relaxed);
     return ErrorResponse(request, StatusCode::kUnavailable,
                          "owner shard " + std::to_string(owner) +
-                             " failed mid-insert: " + error);
+                             " failed mid-" + what + ": " + error);
   }
   QueryResponse response = std::move(responses[0]);
-  response.kind = QueryKind::kInsert;
-  if (!response.ok) return response;  // shard-side rejection, not applied
+  response.kind = request.kind;
+  return response;
+}
+
+QueryResponse ScatterGather::ExecuteInsert(const QueryRequest& request) {
+  // Serialize inserts: global ids are assigned by arrival order and the
+  // topology append must pair with exactly one shard acknowledgement.
+  MutexLock lock(&ingest_mu_);
+  const ObjectId gid = topology_->total_rows();
+  const size_t owner = topology_->OwnerOf(gid);
+  QueryResponse response =
+      ForwardToOwner(request, request, owner, OwnerBudget(request.deadline));
+  if (!response.ok) return response;  // not applied
   // Acknowledged by the owner: advance the mutation epoch, then make the
   // row visible to the merge path (AppendRow stamps it with the new epoch,
   // so the row is live from this epoch onward).
@@ -394,35 +414,12 @@ QueryResponse ScatterGather::ExecuteDelete(const QueryRequest& request) {
                          "row " + std::to_string(gid) +
                              " missing from its owner shard's id list");
   }
-  const Deadline budget = request.deadline.infinite()
-                              ? Deadline::AfterMillis(
-                                    options_.default_budget_millis)
-                              : request.deadline;
+  const Deadline budget = OwnerBudget(request.deadline);
   QueryRequest forward =
       QueryRequest::Delete(static_cast<ObjectId>(local));
   forward.deadline = budget;
-  std::unique_ptr<ShardCall> call;
-  if (!backends_[owner]->down()) {
-    call = backends_[owner]->Start({forward}, budget);
-  }
-  if (call == nullptr) {
-    shard_losses_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorResponse(request, StatusCode::kUnavailable,
-                         "owner shard " + std::to_string(owner) +
-                             " unreachable; delete not applied");
-  }
-  shard_calls_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<QueryResponse> responses;
-  std::string error;
-  if (!call->Collect(&responses, &error) || responses.empty()) {
-    shard_losses_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorResponse(request, StatusCode::kUnavailable,
-                         "owner shard " + std::to_string(owner) +
-                             " failed mid-delete: " + error);
-  }
-  QueryResponse response = std::move(responses[0]);
-  response.kind = QueryKind::kDelete;
-  if (!response.ok) return response;  // shard-side rejection, not applied
+  QueryResponse response = ForwardToOwner(request, forward, owner, budget);
+  if (!response.ok) return response;  // not applied
   // Acknowledged by the owner: stamp the row dead at the new epoch.
   topology_->MarkDeleted(gid, topology_->AdvanceEpoch());
   NoteVersion(response.snapshot_version);
@@ -452,51 +449,12 @@ QueryResponse ScatterGather::ExecuteEpochDiff(const QueryRequest& request) {
   // contributed — the historical side below is restricted to the same
   // shards so the diff never mistakes shard loss for row churn.
   std::vector<uint8_t> contributing(backends_.size(), 0);
-  std::vector<ObjectId> candidates;
-  uint64_t version = 0;
-  bool all_hit = true;
-  bool partial = false;
-  size_t contributors = 0;
-  for (size_t s = 0; s < wave.responses.size(); ++s) {
-    if (wave.responses[s].empty()) {
-      partial = true;
-      continue;
-    }
-    const QueryResponse& item = wave.responses[s][0];
-    if (!item.ok || item.ids == nullptr) {
-      partial = true;
-      shard_losses_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    std::vector<ObjectId> globals;
-    globals.reserve(item.ids->size());
-    bool translated = true;
-    for (ObjectId local : *item.ids) {
-      if (!topology_->WaitForLocal(s, local, Deadline::AfterMillis(1000))) {
-        translated = false;
-        break;
-      }
-      globals.push_back(topology_->GlobalId(s, local));
-    }
-    if (!translated) {
-      partial = true;
-      shard_losses_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    candidates.insert(candidates.end(), globals.begin(), globals.end());
-    version = std::max(version, item.snapshot_version);
-    all_hit = all_hit && item.cache_hit;
-    contributing[s] = 1;
-    ++contributors;
-  }
-  if (contributors == 0) {
+  Merged merged = MergeWaveItem(wave, 0, request.subspace, {}, &contributing);
+  if (!merged.ok) {
     return ErrorResponse(request, StatusCode::kUnavailable,
                          "no shard contributed a skyline");
   }
-  NoteVersion(version);
-  merge_candidates_.fetch_add(candidates.size(), std::memory_order_relaxed);
-  const std::vector<ObjectId> current = MergeSkylineCandidates(
-      topology_->rows(), request.subspace, std::move(candidates));
+  const std::vector<ObjectId>& current = merged.ids;
   if (request.deadline.expired()) {
     return ErrorResponse(request, StatusCode::kDeadlineExceeded,
                          "deadline expired during merge");
@@ -530,9 +488,9 @@ QueryResponse ScatterGather::ExecuteEpochDiff(const QueryRequest& request) {
   response.count = entered->size() + left->size();
   response.ids = std::move(entered);
   response.left_ids = std::move(left);
-  response.snapshot_version = version;
-  response.cache_hit = all_hit;
-  response.partial = partial || wave.partial;
+  response.snapshot_version = merged.version;
+  response.cache_hit = merged.all_hit;
+  response.partial = merged.partial || wave.partial;
   if (response.partial) {
     partial_answers_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -91,10 +91,6 @@ struct ScatterGatherOptions {
   /// Fraction of the request's remaining deadline given to the shard wave
   /// (the rest is merge + translation headroom).
   double budget_fraction = 0.9;
-  /// Per-wave budget when the request carries no deadline.
-  int64_t default_budget_millis = 30000;
-  /// Q3 fan-out guard: subspace enumeration is 2^d - 1 requests per shard.
-  int max_enumeration_dims = 20;
 };
 
 /// Point-in-time counters (plain data, copyable).
@@ -149,9 +145,18 @@ class ScatterGather {
   };
   /// Merges one subspace from an already-collected wave item `item_index`
   /// (every live shard's responses[s][item_index] must be a skyline
-  /// answer). `extra` global ids join the candidate union.
+  /// answer). `extra` global ids join the candidate union. When
+  /// `contributing` is non-null, (*contributing)[s] is set to 1 for each
+  /// shard whose answer entered the merge.
   Merged MergeWaveItem(const Wave& wave, size_t item_index, DimMask subspace,
-                       const std::vector<ObjectId>& extra, Deadline budget);
+                       const std::vector<ObjectId>& extra,
+                       std::vector<uint8_t>* contributing = nullptr);
+  /// Sends the single-row mutation `forward` to shard `owner` (budget
+  /// `budget`) and returns its answer with the kind of `request`, or a
+  /// kUnavailable error when the owner is down, refused or failed mid-call.
+  QueryResponse ForwardToOwner(const QueryRequest& request,
+                               const QueryRequest& forward, size_t owner,
+                               Deadline budget) REQUIRES(ingest_mu_);
 
   QueryResponse ExecuteSkyline(const QueryRequest& request, bool want_ids);
   QueryResponse ExecuteMembership(const QueryRequest& request);

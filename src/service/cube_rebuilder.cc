@@ -6,7 +6,6 @@
 
 #include "common/fault_injection.h"
 #include "common/macros.h"
-#include "common/rng.h"
 
 namespace skycube {
 
@@ -35,7 +34,7 @@ CubeRebuilder::Job MakeReloadJob(SkycubeService* service,
 CubeRebuilder::CubeRebuilder(Job job, CubeRebuilderOptions options)
     : job_(std::move(job)),
       options_(options),
-      jitter_state_(options.jitter_seed) {
+      backoff_(options.backoff) {
   SKYCUBE_CHECK_MSG(job_ != nullptr, "CubeRebuilder needs a job");
   worker_ = std::thread([this] { WorkerLoop(); });
 }
@@ -94,23 +93,6 @@ Status CubeRebuilder::RunJob() {
   }
 }
 
-std::chrono::milliseconds CubeRebuilder::NextBackoffLocked(
-    int consecutive_failures) {
-  double backoff = static_cast<double>(options_.initial_backoff.count());
-  for (int i = 1; i < consecutive_failures; ++i) {
-    backoff *= options_.backoff_multiplier;
-    if (backoff >= static_cast<double>(options_.max_backoff.count())) break;
-  }
-  backoff = std::min(backoff, static_cast<double>(options_.max_backoff.count()));
-  double factor = 1.0;
-  if (options_.jitter > 0.0) {
-    Rng rng(jitter_state_++);
-    factor = 1.0 + options_.jitter * (2.0 * rng.NextDouble() - 1.0);
-  }
-  const auto millis = static_cast<int64_t>(backoff * factor);
-  return std::chrono::milliseconds(std::max<int64_t>(millis, 1));
-}
-
 void CubeRebuilder::WorkerLoop() {
   mu_.Lock();
   while (!shutting_down_) {
@@ -139,7 +121,8 @@ void CubeRebuilder::WorkerLoop() {
         stats_.last_backoff_millis = 0;
         break;
       }
-      const auto backoff = NextBackoffLocked(consecutive_failures);
+      const std::chrono::milliseconds backoff(
+          backoff_.DelayMillis(consecutive_failures));
       stats_.last_backoff_millis = backoff.count();
       // Backoff sleep, interruptible by shutdown. A new trigger does NOT
       // shorten the sleep: the pending retry already covers it (coalescing).

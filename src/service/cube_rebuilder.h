@@ -25,6 +25,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/backoff.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -35,20 +36,13 @@ namespace skycube {
 
 /// Construction knobs for a CubeRebuilder.
 struct CubeRebuilderOptions {
-  /// Delay before the first retry after a failed build.
-  std::chrono::milliseconds initial_backoff{100};
-  /// Retry delays grow by `backoff_multiplier` up to this cap.
-  std::chrono::milliseconds max_backoff{30000};
-  double backoff_multiplier = 2.0;
-  /// Uniform jitter applied to each backoff delay: the actual sleep is
-  /// backoff * U[1 - jitter, 1 + jitter]. Decorrelates retry storms when
-  /// many replicas share a failing dependency.
-  double jitter = 0.2;
+  /// Retry delays after failed builds (common/backoff.h): 100 ms doubling
+  /// up to 30 s, each scaled by U[0.8, 1.2] to decorrelate retry storms
+  /// when many replicas share a failing dependency.
+  BackoffPolicy backoff;
   /// Consecutive failures before a triggered rebuild is abandoned
   /// (counted in stats().gave_up). 0 = retry until it succeeds.
   int max_attempts = 0;
-  /// Seed for the jitter RNG (deterministic tests).
-  uint64_t jitter_seed = 42;
 };
 
 /// Counters of a CubeRebuilder (plain data, copyable).
@@ -107,10 +101,6 @@ class CubeRebuilder {
   void WorkerLoop() EXCLUDES(mu_);
   /// One job invocation with exception containment.
   Status RunJob();
-  /// The post-failure sleep for `consecutive_failures` failures so far
-  /// (advances the jitter RNG state, hence the lock).
-  std::chrono::milliseconds NextBackoffLocked(int consecutive_failures)
-      REQUIRES(mu_);
 
   Job job_;
   CubeRebuilderOptions options_;
@@ -122,7 +112,7 @@ class CubeRebuilder {
   bool building_ GUARDED_BY(mu_) = false;
   bool shutting_down_ GUARDED_BY(mu_) = false;
   CubeRebuilderStats stats_ GUARDED_BY(mu_);
-  uint64_t jitter_state_ GUARDED_BY(mu_);  // fed to Rng per backoff
+  Backoff backoff_ GUARDED_BY(mu_);  // each delay advances its jitter RNG
 
   std::thread worker_;
 };

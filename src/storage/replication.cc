@@ -16,6 +16,21 @@ namespace skycube {
 
 namespace {
 
+// WalShipper: batch ceiling when a fetch names none, hard batch ceiling
+// whatever it asks for, and long-poll ceiling of a caught-up fetch.
+constexpr uint32_t kShipDefaultBatch = 256;
+constexpr uint32_t kShipMaxBatch = 4096;
+constexpr std::chrono::milliseconds kShipMaxWait{2000};
+// A follower whose last fetch is older than this stops counting toward
+// followers(), and WaitAcked stops waiting for its ack.
+constexpr std::chrono::milliseconds kFollowerTtl{10000};
+
+// WalFollower: records per fetch, the long-poll wait it asks for when
+// caught up, and the pause before retrying a failed fetch or apply.
+constexpr uint32_t kFollowBatch = 512;
+constexpr std::chrono::milliseconds kFollowPollWait{500};
+constexpr std::chrono::milliseconds kFollowRetryBackoff{200};
+
 void PutU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -119,17 +134,16 @@ Result<std::vector<WalRecord>> DecodeShippedRecords(std::string_view bytes) {
 
 // --- WalShipper -----------------------------------------------------------
 
-WalShipper::WalShipper(std::string dir, WalShipperOptions options)
-    : dir_(std::move(dir)), options_(options) {}
+WalShipper::WalShipper(std::string dir) : dir_(std::move(dir)) {}
 
 Result<ShippedBatch> WalShipper::Fetch(uint64_t ack_lsn,
                                        uint32_t max_records,
                                        std::chrono::milliseconds wait) {
   const uint32_t batch =
-      max_records == 0 ? options_.default_batch
-                       : std::min(max_records, options_.max_batch);
+      max_records == 0 ? kShipDefaultBatch
+                       : std::min(max_records, kShipMaxBatch);
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::min(wait, options_.max_wait);
+                        std::min(wait, kShipMaxWait);
   {
     MutexLock lock(&mu_);
     ++stats_.fetches;
@@ -221,7 +235,7 @@ bool WalShipper::WaitAcked(uint64_t lsn, std::chrono::milliseconds timeout) {
     // rather than stalling every mutation while the replica is down.
     const bool follower_live =
         last_fetch_ != std::chrono::steady_clock::time_point{} &&
-        now - last_fetch_ <= options_.follower_ttl;
+        now - last_fetch_ <= kFollowerTtl;
     if (now >= deadline || !follower_live) {
       ++stats_.fence_timeouts;
       return false;
@@ -239,7 +253,7 @@ WalShipperStats WalShipper::stats() const {
   const auto now = std::chrono::steady_clock::now();
   stats.followers =
       (last_fetch_ != std::chrono::steady_clock::time_point{} &&
-       now - last_fetch_ <= options_.follower_ttl)
+       now - last_fetch_ <= kFollowerTtl)
           ? 1
           : 0;
   return stats;
@@ -395,7 +409,7 @@ void WalFollower::Run() {
       if (stop_) return;
     }
     Result<ShippedBatch> fetched =
-        source_->Fetch(applied, options_.batch, options_.poll_wait);
+        source_->Fetch(applied, kFollowBatch, kFollowPollWait);
     if (!fetched.ok()) {
       MutexLock lock(&mu_);
       ++stats_.fetch_errors;
@@ -405,7 +419,7 @@ void WalFollower::Run() {
       // operator restart (which re-bootstraps) finds the loop alive and
       // the error visible in stats.
       stop_cv_.WaitUntil(
-          &mu_, std::chrono::steady_clock::now() + options_.retry_backoff);
+          &mu_, std::chrono::steady_clock::now() + kFollowRetryBackoff);
       continue;
     }
     {
@@ -425,7 +439,7 @@ void WalFollower::Run() {
         stats_.last_error = result.status().message();
         if (stop_) return;
         stop_cv_.WaitUntil(&mu_, std::chrono::steady_clock::now() +
-                                     options_.retry_backoff);
+                                     kFollowRetryBackoff);
         break;  // refetch from the cursor; the stream must stay contiguous
       }
       applied = record.lsn;

@@ -17,8 +17,8 @@ TimePoint At(int64_t millis) {
   return TimePoint{} + std::chrono::milliseconds(millis);
 }
 
-ProbeBackoffOptions NoJitter() {
-  ProbeBackoffOptions options;
+BackoffPolicy NoJitter() {
+  BackoffPolicy options;
   options.initial_millis = 100;
   options.max_millis = 30000;
   options.multiplier = 2.0;
@@ -44,7 +44,7 @@ TEST(ProbeBackoffTest, GrowsExponentiallyWithoutJitter) {
 }
 
 TEST(ProbeBackoffTest, CapsAtMaxMillis) {
-  ProbeBackoffOptions options = NoJitter();
+  BackoffPolicy options = NoJitter();
   options.max_millis = 500;
   ProbeBackoff backoff(options);
   for (int i = 0; i < 20; ++i) backoff.NoteFailure(At(0));
@@ -83,7 +83,7 @@ TEST(ProbeBackoffTest, ClaimProbePushesOutWithoutGrowing) {
 }
 
 TEST(ProbeBackoffTest, JitterStaysWithinBand) {
-  ProbeBackoffOptions options;
+  BackoffPolicy options;
   options.initial_millis = 1000;
   options.max_millis = 1000000;
   options.multiplier = 1.0;  // isolate the jitter factor
@@ -102,7 +102,7 @@ TEST(ProbeBackoffTest, JitterStaysWithinBand) {
 }
 
 TEST(ProbeBackoffTest, DeterministicForAFixedSeed) {
-  ProbeBackoffOptions options;
+  BackoffPolicy options;
   options.jitter_seed = 123;
   ProbeBackoff a(options);
   ProbeBackoff b(options);
@@ -114,7 +114,7 @@ TEST(ProbeBackoffTest, DeterministicForAFixedSeed) {
 }
 
 TEST(ProbeBackoffTest, DelayNeverBelowOneMillisecond) {
-  ProbeBackoffOptions options;
+  BackoffPolicy options;
   options.initial_millis = 1;
   options.jitter = 0.9;
   ProbeBackoff backoff(options);

@@ -284,8 +284,8 @@ TEST_F(SkycubeServiceRobustnessTest, RebuilderBacksOffThenSwapsIn) {
   const uint64_t baseline = service.snapshot()->num_objects();
 
   CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(5);
-  options.max_backoff = std::chrono::milliseconds(20);
+  options.backoff.initial_millis = 5;
+  options.backoff.max_millis = 20;
   CubeRebuilder rebuilder(
       &service, [&] { return Result(MakeCube(next_data)); }, options);
 
@@ -319,7 +319,7 @@ TEST_F(SkycubeServiceRobustnessTest, RebuilderNeverSwapsInABrokenCube) {
   SkycubeService service(MakeCube(data));
 
   CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(2);
+  options.backoff.initial_millis = 2;
   options.max_attempts = 3;  // give up instead of retrying forever
   CubeRebuilder rebuilder(
       &service,
@@ -343,7 +343,7 @@ TEST_F(SkycubeServiceRobustnessTest, RebuilderContainsAThrowingBuilder) {
   const Dataset data = MakeData(50, 4, 23);
   SkycubeService service(MakeCube(data));
   CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(1);
+  options.backoff.initial_millis = 1;
   options.max_attempts = 2;
   CubeRebuilder rebuilder(
       &service,
@@ -361,7 +361,7 @@ TEST_F(SkycubeServiceRobustnessTest, RebuilderRejectsNullCube) {
   const Dataset data = MakeData(50, 4, 23);
   SkycubeService service(MakeCube(data));
   CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(1);
+  options.backoff.initial_millis = 1;
   options.max_attempts = 1;
   CubeRebuilder rebuilder(
       &service,

@@ -21,17 +21,15 @@
 // Usage (registered as a ctest test):
 //   skycube_crashtest --serve=PATH --work-dir=DIR [--rounds=N]
 //     [--inserts=N] [--tuples=N] [--dims=D] [--seed=S] [--no-faults]
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -41,6 +39,7 @@
 #include "core/stellar.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
+#include "harness/harness.h"
 #include "storage/recovery.h"
 
 namespace skycube {
@@ -70,84 +69,6 @@ struct Rng {
   }
   uint64_t Bounded(uint64_t n) { return n == 0 ? 0 : Next() % n; }
 };
-
-struct Child {
-  pid_t pid = -1;
-  FILE* to = nullptr;    // child's stdin
-  FILE* from = nullptr;  // child's stdout
-};
-
-/// Forks + execs the server; stdin/stdout piped, stderr silenced. `faults`
-/// lands in SKYCUBE_ARM_FAULTS (empty = unset).
-Child Spawn(const std::string& serve, const std::vector<std::string>& args,
-            const std::string& faults) {
-  int to_child[2], from_child[2];
-  if (pipe(to_child) != 0 || pipe(from_child) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(to_child[0], STDIN_FILENO);
-    dup2(from_child[1], STDOUT_FILENO);
-    // Post-fork child setup: no storage-layer durability involved.
-    const int devnull = open("/dev/null", O_WRONLY);  // lint:allow-raw-io
-    if (devnull >= 0) dup2(devnull, STDERR_FILENO);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    if (faults.empty()) {
-      unsetenv("SKYCUBE_ARM_FAULTS");
-    } else {
-      setenv("SKYCUBE_ARM_FAULTS", faults.c_str(), 1);
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);  // program name + args + trailing null
-    argv.push_back(const_cast<char*>(serve.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(serve.c_str(), argv.data());
-    _exit(127);
-  }
-  close(to_child[0]);
-  close(from_child[1]);
-  Child child;
-  child.pid = pid;
-  child.to = fdopen(to_child[1], "w");
-  child.from = fdopen(from_child[0], "r");
-  return child;
-}
-
-/// Reads one line (without '\n'); false on EOF.
-bool ReadLine(FILE* from, std::string* line) {
-  line->clear();
-  int c;
-  while ((c = std::fgetc(from)) != EOF) {
-    if (c == '\n') return true;
-    line->push_back(static_cast<char>(c));
-  }
-  return !line->empty();
-}
-
-/// Waits for the child; >=0 exit status, or -SIG when signal-terminated.
-int Wait(Child* child) {
-  if (child->to != nullptr) fclose(child->to);
-  int status = 0;
-  waitpid(child->pid, &status, 0);
-  if (child->from != nullptr) fclose(child->from);
-  child->to = nullptr;
-  child->from = nullptr;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return -WTERMSIG(status);
-  return -1000;
-}
 
 struct Config {
   std::string serve;
@@ -187,6 +108,21 @@ std::vector<std::string> ServerArgs(const Config& config,
     args.push_back("--truncate=4");
   }
   return args;
+}
+
+/// Starts a REPL serve child into *child (`faults` armed through
+/// SKYCUBE_ARM_FAULTS, empty = none); false, with the reason logged, when
+/// it could not be started.
+bool Spawn(const Config& config, const std::vector<std::string>& args,
+           const std::string& faults, harness::Child* child) {
+  Result<harness::Child> spawned =
+      harness::Child::SpawnRepl(config.serve, args, faults);
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "spawn: %s\n", spawned.status().ToString().c_str());
+    return false;
+  }
+  *child = std::move(spawned).value();
+  return true;
 }
 
 /// One insert row as protocol text. The golden double values are recovered
@@ -273,13 +209,14 @@ void VerifyRecovery(const char* round_tag, const Config& config,
 /// Restarts a server on the recovered directory and checks it serves.
 void VerifyServeable(const char* round_tag, const Config& config,
                      const std::string& dir) {
-  Child child = Spawn(config.serve, ServerArgs(config, dir, false), "");
-  std::fprintf(child.to, "health\ntotal\nquit\n");
-  std::fflush(child.to);
+  harness::Child child;
+  CHECK_ROUND(Spawn(config, ServerArgs(config, dir, false), "", &child),
+              "restarted server did not start");
+  child.Send("health\ntotal\nquit\n");
   std::string health, total;
-  CHECK_ROUND(ReadLine(child.from, &health) && ReadLine(child.from, &total),
+  CHECK_ROUND(child.ReadLine(&health) && child.ReadLine(&total),
               "restarted server died before answering");
-  const int code = Wait(&child);
+  const int code = child.Wait();
   CHECK_ROUND(code == 0, "restarted server exited %d", code);
   CHECK_ROUND(health.find("ok status=ready") == 0 &&
                   health.find("recovered=1") != std::string::npos,
@@ -306,7 +243,9 @@ void RunMixedKillRound(const Config& config, int round, Rng* rng) {
   std::snprintf(round_tag, sizeof(round_tag), "mixed-%d", round);
   const std::string dir = config.work_dir + "/" + round_tag;
   std::filesystem::remove_all(dir);
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  harness::Child child;
+  CHECK_ROUND(Spawn(config, ServerArgs(config, dir, true), "", &child),
+              "server did not start");
 
   // Script the ops up front. Deletes target any id that exists at that
   // point in the sequence — including bootstrap rows, rows a later op will
@@ -327,29 +266,26 @@ void RunMixedKillRound(const Config& config, int round, Rng* rng) {
     }
     ops.push_back(std::move(op));
   }
+  std::string script;
   for (const MutationOp& op : ops) {
-    if (op.is_delete) {
-      std::fprintf(child.to, "delete %llu\n",
-                   static_cast<unsigned long long>(op.target));
-    } else {
-      std::fprintf(child.to, "insert %s\n", op.insert_text.c_str());
-    }
+    script += op.is_delete ? "delete " + std::to_string(op.target) + "\n"
+                           : "insert " + op.insert_text + "\n";
   }
-  std::fflush(child.to);
+  child.Send(script);
 
   const size_t kill_after = rng->Bounded(ops.size() + 1);
   size_t acked = 0;
   std::string line;
-  while (acked < kill_after && ReadLine(child.from, &line)) {
+  while (acked < kill_after && child.ReadLine(&line)) {
     CHECK_ROUND(line.rfind("ok path=", 0) == 0, "mutation answered: %s",
                 line.c_str());
     ++acked;
   }
-  kill(child.pid, SIGKILL);
-  while (ReadLine(child.from, &line)) {
+  child.Kill(SIGKILL);
+  while (child.ReadLine(&line)) {
     if (line.rfind("ok path=", 0) == 0) ++acked;
   }
-  const int code = Wait(&child);
+  const int code = child.Wait();
   CHECK_ROUND(code == -SIGKILL || code == 0, "child exited %d, expected kill",
               code);
 
@@ -423,28 +359,28 @@ void RunExpiryKillRound(const Config& config, Rng* rng) {
   const char* round_tag = "expiry-kill";
   const std::string dir = config.work_dir + "/expiry-kill";
   std::filesystem::remove_all(dir);
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  harness::Child child;
+  CHECK_ROUND(Spawn(config, ServerArgs(config, dir, true), "", &child),
+              "server did not start");
 
   std::vector<std::string> sent;
   std::string line;
   for (int i = 0; i < config.inserts; ++i) {
     sent.push_back(MakeInsertText(rng, config.dims, &sent));
-    std::fprintf(child.to, "insert %s\n", sent.back().c_str());
-    std::fflush(child.to);
-    CHECK_ROUND(ReadLine(child.from, &line) && line.rfind("ok path=", 0) == 0,
+    child.Send("insert " + sent.back() + "\n");
+    CHECK_ROUND(child.ReadLine(&line) && line.rfind("ok path=", 0) == 0,
                 "insert answered: %s", line.c_str());
   }
   // A far-future cutoff expires every timestamped row; SIGKILL races the
   // pass (sometimes before it starts, sometimes mid-log, sometimes after).
-  std::fprintf(child.to, "expire 9999999999999\n");
-  std::fflush(child.to);
+  child.Send("expire 9999999999999\n");
   if (rng->Bounded(2) == 0) {
-    CHECK_ROUND(ReadLine(child.from, &line) &&
+    CHECK_ROUND(child.ReadLine(&line) &&
                     line.rfind("ok expired=", 0) == 0,
                 "expire answered: %s", line.c_str());
   }
-  kill(child.pid, SIGKILL);
-  const int code = Wait(&child);
+  child.Kill(SIGKILL);
+  const int code = child.Wait();
   CHECK_ROUND(code == -SIGKILL || code == 0, "child exited %d, expected kill",
               code);
 
@@ -490,32 +426,33 @@ void RunKillRound(const Config& config, int round, Rng* rng) {
   std::snprintf(round_tag, sizeof(round_tag), "kill-%d", round);
   const std::string dir = config.work_dir + "/" + round_tag;
   std::filesystem::remove_all(dir);  // a rerun must bootstrap fresh
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  harness::Child child;
+  CHECK_ROUND(Spawn(config, ServerArgs(config, dir, true), "", &child),
+              "server did not start");
 
   std::vector<std::string> sent;
   sent.reserve(config.inserts);
   for (int i = 0; i < config.inserts; ++i) {
     sent.push_back(MakeInsertText(rng, config.dims, &sent));
   }
-  for (const std::string& row : sent) {
-    std::fprintf(child.to, "insert %s\n", row.c_str());
-  }
-  std::fflush(child.to);
+  std::string script;
+  for (const std::string& row : sent) script += "insert " + row + "\n";
+  child.Send(script);
 
   const size_t kill_after = rng->Bounded(sent.size() + 1);
   size_t acked = 0;
   std::string line;
-  while (acked < kill_after && ReadLine(child.from, &line)) {
+  while (acked < kill_after && child.ReadLine(&line)) {
     CHECK_ROUND(line.rfind("ok path=", 0) == 0, "insert answered: %s",
                 line.c_str());
     ++acked;
   }
-  kill(child.pid, SIGKILL);
+  child.Kill(SIGKILL);
   // Acks the child wrote before dying are still acknowledgements.
-  while (ReadLine(child.from, &line)) {
+  while (child.ReadLine(&line)) {
     if (line.rfind("ok path=", 0) == 0) ++acked;
   }
-  const int code = Wait(&child);
+  const int code = child.Wait();
   CHECK_ROUND(code == -SIGKILL || code == 0, "child exited %d, expected kill",
               code);
 
@@ -530,19 +467,20 @@ void RunSigtermRound(const Config& config, Rng* rng) {
   const char* round_tag = "sigterm";
   const std::string dir = config.work_dir + "/sigterm";
   std::filesystem::remove_all(dir);
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  harness::Child child;
+  CHECK_ROUND(Spawn(config, ServerArgs(config, dir, true), "", &child),
+              "server did not start");
   std::vector<std::string> sent;
   sent.reserve(config.inserts);
   std::string line;
   for (int i = 0; i < config.inserts; ++i) {
     sent.push_back(MakeInsertText(rng, config.dims, &sent));
-    std::fprintf(child.to, "insert %s\n", sent.back().c_str());
-    std::fflush(child.to);
-    CHECK_ROUND(ReadLine(child.from, &line) && line.rfind("ok path=", 0) == 0,
+    child.Send("insert " + sent.back() + "\n");
+    CHECK_ROUND(child.ReadLine(&line) && line.rfind("ok path=", 0) == 0,
                 "insert answered: %s", line.c_str());
   }
-  kill(child.pid, SIGTERM);
-  const int code = Wait(&child);  // also closes its stdin
+  child.Kill(SIGTERM);
+  const int code = child.Wait();  // also closes its stdin
   CHECK_ROUND(code == 0, "SIGTERM drain exited %d, expected 0", code);
 
   RecoveryStats stats;
@@ -563,36 +501,36 @@ void RunFaultRound(const Config& config, Rng* rng, const char* fault,
   const std::string dir = config.work_dir + "/fault-" + fault;
   std::filesystem::remove_all(dir);
   // Warmup on a clean server.
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  harness::Child child;
+  CHECK_ROUND(Spawn(config, ServerArgs(config, dir, true), "", &child),
+              "server did not start");
   std::vector<std::string> sent;
   std::string line;
   const int warmup = 3 + static_cast<int>(rng->Bounded(4));
   sent.reserve(warmup);
   for (int i = 0; i < warmup; ++i) {
     sent.push_back(MakeInsertText(rng, config.dims, &sent));
-    std::fprintf(child.to, "insert %s\n", sent.back().c_str());
-    std::fflush(child.to);
-    CHECK_ROUND(ReadLine(child.from, &line) && line.rfind("ok path=", 0) == 0,
+    child.Send("insert " + sent.back() + "\n");
+    CHECK_ROUND(child.ReadLine(&line) && line.rfind("ok path=", 0) == 0,
                 "warmup insert answered: %s", line.c_str());
   }
-  std::fprintf(child.to, "quit\n");
-  std::fflush(child.to);
-  int code = Wait(&child);
+  child.Send("quit\n");
+  int code = child.Wait();
   CHECK_ROUND(code == 0, "warmup server exited %d", code);
 
   // Detonation: restart with the fault armed; the next insert crashes the
   // child inside the fault point (std::_Exit(42)) before it can answer.
   Config armed = config;
   armed.checkpoint_every = checkpoint_every;
-  child = Spawn(config.serve, ServerArgs(armed, dir, false),
-                std::string(fault) + "=1");
+  CHECK_ROUND(Spawn(config, ServerArgs(armed, dir, false),
+                    std::string(fault) + "=1", &child),
+              "armed server did not start");
   sent.push_back(MakeInsertText(rng, config.dims, &sent));
-  std::fprintf(child.to, "insert %s\n", sent.back().c_str());
-  std::fflush(child.to);
-  const bool got_ack = ReadLine(child.from, &line);
+  child.Send("insert " + sent.back() + "\n");
+  const bool got_ack = child.ReadLine(&line);
   CHECK_ROUND(!got_ack, "armed %s did not crash; answered: %s", fault,
               line.c_str());
-  code = Wait(&child);
+  code = child.Wait();
   CHECK_ROUND(code == 42, "armed %s exited %d, expected 42", fault, code);
 
   RecoveryStats stats;

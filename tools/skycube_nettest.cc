@@ -19,16 +19,15 @@
 // Usage (registered as a ctest test):
 //   skycube_nettest --serve=PATH [--tuples=N] [--dims=D] [--seed=S]
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/flags.h"
+#include "harness/harness.h"
 #include "net/client.h"
 #include "net/protocol.h"
 
@@ -47,74 +46,6 @@ int g_failures = 0;
       return false;                               \
     }                                             \
   } while (0)
-
-struct Server {
-  pid_t pid = -1;
-  FILE* stderr_from = nullptr;
-  uint16_t port = 0;
-};
-
-/// Forks + execs skycube_serve in socket mode on an ephemeral port and
-/// scrapes the bound port from its stderr.
-Server SpawnServer(const std::string& serve,
-                   const std::vector<std::string>& args) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);
-    argv.push_back(const_cast<char*>(serve.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(serve.c_str(), argv.data());
-    _exit(127);
-  }
-  close(err_pipe[1]);
-  Server server;
-  server.pid = pid;
-  server.stderr_from = fdopen(err_pipe[0], "r");
-
-  // The listen line is the first thing socket mode prints.
-  std::string line;
-  int c;
-  while ((c = std::fgetc(server.stderr_from)) != EOF && c != '\n') {
-    line.push_back(static_cast<char>(c));
-  }
-  const size_t colon = line.rfind(':');
-  if (line.rfind("listening on ", 0) != 0 || colon == std::string::npos) {
-    std::fprintf(stderr, "no listen line from server (got: '%s')\n",
-                 line.c_str());
-    kill(pid, SIGKILL);
-    std::exit(1);
-  }
-  server.port = static_cast<uint16_t>(
-      std::strtoul(line.c_str() + colon + 1, nullptr, 10));
-  return server;
-}
-
-/// Waits for the child; >=0 exit status, or -SIG when signal-terminated.
-int WaitServer(Server* server) {
-  int status = 0;
-  waitpid(server->pid, &status, 0);
-  if (server->stderr_from != nullptr) fclose(server->stderr_from);
-  server->stderr_from = nullptr;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return -WTERMSIG(status);
-  return -1000;
-}
 
 /// The harness speaks the wire through the shared src/net client. A hung
 /// server fails the harness via the read deadline instead of wedging ctest.
@@ -288,14 +219,14 @@ bool RunMalformedRound(uint16_t port) {
   return true;
 }
 
-bool RunDrainRound(Server* server, int dims) {
+bool RunDrainRound(harness::Child* server, int dims) {
   net::NetClient inflight;
-  CHECK_NET(Connect(&inflight, server->port), "drain: connect failed");
+  CHECK_NET(Connect(&inflight, server->port()), "drain: connect failed");
   // A burst is on the wire (and mostly decoded) when the signal lands.
   constexpr uint64_t kRequests = 48;
   CHECK_NET(inflight.Send(MixedBurst(kRequests, dims)).ok(),
             "drain: send failed");
-  CHECK_NET(kill(server->pid, SIGTERM) == 0, "drain: kill failed");
+  CHECK_NET(server->Kill(SIGTERM), "drain: kill failed");
 
   // Every response that arrives must still be in order; the connection
   // must end in clean EOF (requests not yet decoded when the drain began
@@ -320,7 +251,7 @@ bool RunDrainRound(Server* server, int dims) {
   // explicit kUnavailable goaway; once the listener is closed,
   // ECONNREFUSED. Either way it must never be served.
   net::NetClient late;
-  if (late.Connect("127.0.0.1", server->port).ok()) {
+  if (late.Connect("127.0.0.1", server->port()).ok()) {
     std::string payload;
     const Got got = ReadPayload(&late, &payload);
     if (got == Got::kPayload) {
@@ -337,7 +268,7 @@ bool RunDrainRound(Server* server, int dims) {
     }
   }
 
-  const int exit_code = WaitServer(server);
+  const int exit_code = server->Wait();
   CHECK_NET(exit_code == 0, "drain: server exited %d after SIGTERM",
             exit_code);
   return true;
@@ -361,22 +292,25 @@ int Main(int argc, char** argv) {
       "--seed=" + std::to_string(seed),
       "--port=0",
   };
-  Server server = SpawnServer(serve, args);
-  std::fprintf(stderr, "server pid %d on port %u\n", int(server.pid),
-               unsigned(server.port));
+  Result<harness::Child> spawned =
+      harness::Child::SpawnListening(serve, args);
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "FAIL %s\n", spawned.status().ToString().c_str());
+    return 1;
+  }
+  // Destroying the Child kills a server the drain round left running.
+  harness::Child server = std::move(spawned).value();
+  std::fprintf(stderr, "server pid %d on port %u\n", int(server.pid()),
+               unsigned(server.port()));
 
-  if (RunPipelineRound(server.port, dims)) {
+  if (RunPipelineRound(server.port(), dims)) {
     std::fprintf(stderr, "PASS pipeline round\n");
   }
-  if (RunMalformedRound(server.port)) {
+  if (RunMalformedRound(server.port())) {
     std::fprintf(stderr, "PASS malformed round\n");
   }
   if (RunDrainRound(&server, dims)) {
     std::fprintf(stderr, "PASS drain round\n");
-  }
-  if (server.stderr_from != nullptr) {
-    kill(server.pid, SIGKILL);  // only reached when the drain round failed
-    WaitServer(&server);
   }
 
   if (g_failures > 0) {

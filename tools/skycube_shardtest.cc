@@ -35,7 +35,6 @@
 //   skycube_shardtest --serve=PATH --router=PATH --work-dir=DIR
 //                     [--tuples=N] [--dims=D] [--seed=S] [--replication]
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,6 +43,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/consistent_hash.h"
@@ -53,6 +53,7 @@
 #include "core/maintenance.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
+#include "harness/harness.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "service/ingest.h"
@@ -77,75 +78,19 @@ int g_failures = 0;
 constexpr size_t kNumShards = 3;
 constexpr int64_t kReadTimeoutMillis = 60000;
 
-struct Child {
-  pid_t pid = -1;
-  FILE* stderr_from = nullptr;
-  uint16_t port = 0;
-};
-
-/// Forks + execs a serve/router binary and scrapes "listening on HOST:PORT"
-/// from its stderr (skipping earlier startup lines).
-Child Spawn(const std::string& binary,
-            const std::vector<std::string>& args) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
+/// Starts a serve/router child into *child and scrapes its port; false,
+/// with the failure counted, when it never printed its listen line.
+bool Spawn(const std::string& binary, const std::vector<std::string>& args,
+           harness::Child* child) {
+  Result<harness::Child> spawned =
+      harness::Child::SpawnListening(binary, args);
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "FAIL %s\n", spawned.status().ToString().c_str());
+    ++g_failures;
+    return false;
   }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  close(err_pipe[1]);
-  Child child;
-  child.pid = pid;
-  child.stderr_from = fdopen(err_pipe[0], "r");
-  std::string line;
-  int c;
-  while ((c = std::fgetc(child.stderr_from)) != EOF) {
-    if (c != '\n') {
-      line.push_back(static_cast<char>(c));
-      continue;
-    }
-    if (line.rfind("listening on ", 0) == 0) {
-      const size_t colon = line.rfind(':');
-      child.port = static_cast<uint16_t>(
-          std::strtoul(line.c_str() + colon + 1, nullptr, 10));
-      return child;
-    }
-    line.clear();
-  }
-  std::fprintf(stderr, "no listen line from %s (last: '%s')\n",
-               binary.c_str(), line.c_str());
-  kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-void Reap(Child* child) {
-  if (child->pid > 0) {
-    int status = 0;
-    waitpid(child->pid, &status, 0);
-    child->pid = -1;
-  }
-  if (child->stderr_from != nullptr) {
-    fclose(child->stderr_from);
-    child->stderr_from = nullptr;
-  }
+  *child = std::move(spawned).value();
+  return true;
 }
 
 /// One request over a fresh-enough connection; false on transport failure
@@ -356,7 +301,7 @@ bool RunInsertRound(uint16_t router_port, Oracle* oracle, int dims) {
   return true;
 }
 
-bool RunDegradationRound(uint16_t router_port, Child* victim,
+bool RunDegradationRound(uint16_t router_port, harness::Child* victim,
                          size_t victim_shard, const Oracle& oracle,
                          const HashRing& ring, int dims) {
   const DimMask full = FullMask(dims);
@@ -371,8 +316,8 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
         SkylineRequest(1 + (i % full), i));
   }
   CHECK_SHARD(loaded.Send(burst).ok(), "degrade: burst send failed");
-  CHECK_SHARD(kill(victim->pid, SIGKILL) == 0, "degrade: kill failed");
-  Reap(victim);
+  CHECK_SHARD(victim->Kill(SIGKILL), "degrade: kill failed");
+  victim->Wait();
 
   // Drain the burst: every answer is (a) complete-and-full-oracle-correct,
   // (b) partial-and-survivor-oracle-correct, or (c) an error/stream loss
@@ -479,8 +424,9 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
 
 bool RunRecoveryRound(uint16_t router_port, const std::string& serve,
                       const std::vector<std::string>& victim_args,
-                      Child* victim, const Oracle& oracle, int dims) {
-  *victim = Spawn(serve, victim_args);
+                      harness::Child* victim, const Oracle& oracle,
+                      int dims) {
+  if (!Spawn(serve, victim_args, victim)) return false;
   const DimMask full = FullMask(dims);
   const std::vector<ObjectId> expected = oracle.Skyline(full);
   const Deadline settle = Deadline::AfterMillis(60000);
@@ -497,21 +443,6 @@ bool RunRecoveryRound(uint16_t router_port, const std::string& serve,
   }
   CHECK_SHARD(false, "recover: router never returned to full answers");
   return false;
-}
-
-/// kReplState straight at one server: applied LSN + role.
-bool ReplState(uint16_t port, uint64_t* lsn, std::string* role) {
-  net::NetClient client;
-  if (!client.Connect("127.0.0.1", port).ok()) return false;
-  net::WireRequest request;
-  request.op = net::Opcode::kReplState;
-  request.id = 1;
-  net::WireResponse response;
-  if (!WireQuery(&client, request, &response)) return false;
-  if (response.status != StatusCode::kOk) return false;
-  *lsn = response.lsn;
-  if (role != nullptr) *role = response.text;
-  return true;
 }
 
 /// Full-space skyline asked of one server directly (not through the
@@ -539,8 +470,10 @@ bool WaitCaughtUp(uint16_t primary_port, uint16_t replica_port,
   while (!deadline.expired()) {
     uint64_t primary_lsn = 0;
     uint64_t replica_lsn = 0;
-    if (ReplState(primary_port, &primary_lsn, nullptr) &&
-        ReplState(replica_port, &replica_lsn, nullptr) &&
+    if (harness::ReplState(primary_port, kReadTimeoutMillis, &primary_lsn,
+                           nullptr) &&
+        harness::ReplState(replica_port, kReadTimeoutMillis, &replica_lsn,
+                           nullptr) &&
         replica_lsn >= primary_lsn) {
       return true;
     }
@@ -555,7 +488,8 @@ bool WaitCaughtUp(uint16_t primary_port, uint16_t replica_port,
 /// every insert acked before the kill included. During the discovery
 /// window errors and survivor-correct partials are tolerated (and
 /// counted); a wrong answer never is.
-bool RunReplicationChaosRound(uint16_t router_port, Child* victim_primary,
+bool RunReplicationChaosRound(uint16_t router_port,
+                              harness::Child* victim_primary,
                               uint16_t victim_replica_port,
                               size_t victim_shard, const Oracle& oracle,
                               const HashRing& ring, int dims) {
@@ -569,8 +503,8 @@ bool RunReplicationChaosRound(uint16_t router_port, Child* victim_primary,
     burst += EncodeRequest(SkylineRequest(1 + (i % full), i));
   }
   CHECK_SHARD(loaded.Send(burst).ok(), "chaos: burst send failed");
-  CHECK_SHARD(kill(victim_primary->pid, SIGKILL) == 0, "chaos: kill failed");
-  Reap(victim_primary);
+  CHECK_SHARD(victim_primary->Kill(SIGKILL), "chaos: kill failed");
+  victim_primary->Wait();
 
   uint64_t complete = 0;
   uint64_t partial = 0;
@@ -631,7 +565,8 @@ bool RunReplicationChaosRound(uint16_t router_port, Child* victim_primary,
   // The replica must actually have been promoted, not merely read from.
   std::string role;
   uint64_t promoted_lsn = 0;
-  CHECK_SHARD(ReplState(victim_replica_port, &promoted_lsn, &role),
+  CHECK_SHARD(harness::ReplState(victim_replica_port, kReadTimeoutMillis,
+                                 &promoted_lsn, &role),
               "chaos: promoted replica unreachable");
   CHECK_SHARD(role == "primary",
               "chaos: victim replica reports role=%s after failover",
@@ -647,9 +582,9 @@ bool RunReplicationChaosRound(uint16_t router_port, Child* victim_primary,
 /// and a byte-identical full-space skyline asked of each directly.
 bool RunRejoinRound(const std::string& serve,
                     const std::vector<std::string>& rejoin_args,
-                    Child* old_primary, uint16_t new_primary_port,
+                    harness::Child* old_primary, uint16_t new_primary_port,
                     int dims) {
-  *old_primary = Spawn(serve, rejoin_args);
+  if (!Spawn(serve, rejoin_args, old_primary)) return false;
   const Deadline deadline = Deadline::AfterMillis(60000);
   bool converged = false;
   while (!deadline.expired() && !converged) {
@@ -657,8 +592,12 @@ bool RunRejoinRound(const std::string& serve,
     uint64_t primary_lsn = 0;
     uint64_t replica_lsn = 0;
     std::string role;
-    if (!ReplState(new_primary_port, &primary_lsn, nullptr)) continue;
-    if (!ReplState(old_primary->port, &replica_lsn, &role)) continue;
+    if (!harness::ReplState(new_primary_port, kReadTimeoutMillis,
+                            &primary_lsn, nullptr) ||
+        !harness::ReplState(old_primary->port(), kReadTimeoutMillis,
+                            &replica_lsn, &role)) {
+      continue;
+    }
     converged = role == "replica" && replica_lsn >= primary_lsn;
   }
   CHECK_SHARD(converged, "rejoin: old primary never converged as replica");
@@ -667,7 +606,7 @@ bool RunRejoinRound(const std::string& serve,
   std::vector<ObjectId> rejoined_ids;
   CHECK_SHARD(DirectSkyline(new_primary_port, full, &promoted_ids),
               "rejoin: promoted primary skyline failed");
-  CHECK_SHARD(DirectSkyline(old_primary->port, full, &rejoined_ids),
+  CHECK_SHARD(DirectSkyline(old_primary->port(), full, &rejoined_ids),
               "rejoin: rejoined replica skyline failed");
   CHECK_SHARD(promoted_ids == rejoined_ids,
               "rejoin: rejoined replica diverges: got [%s] want [%s]",
@@ -676,249 +615,231 @@ bool RunRejoinRound(const std::string& serve,
   return true;
 }
 
+/// What both scenarios share: the binaries, the scratch root, and the
+/// synthetic source every process loads — shards filter it by ring
+/// ownership, the router and the oracle load it whole, so the flags must
+/// agree everywhere.
+struct Scenario {
+  std::string serve;
+  std::string router;
+  std::string work_dir;
+  int dims = 0;
+  std::vector<std::string> source_args;
+
+  /// A shard's flags: the source filtered to ring partition `s`, durable
+  /// under `data_dir`, on an ephemeral port (the last flag).
+  std::vector<std::string> ShardArgs(size_t s,
+                                     const std::string& data_dir) const {
+    std::vector<std::string> args = source_args;
+    args.push_back("--shard-count=" + std::to_string(kNumShards));
+    args.push_back("--shard-index=" + std::to_string(s));
+    args.push_back("--ring-seed=0");
+    args.push_back("--data-dir=" + data_dir);
+    args.push_back("--port=0");
+    return args;
+  }
+
+  /// Starts the router in front of `endpoints` into *child.
+  bool SpawnRouter(const std::string& endpoints, harness::Child* child) const {
+    std::vector<std::string> args = source_args;
+    args.push_back("--shards=" + endpoints);
+    args.push_back("--ring-seed=0");
+    args.push_back("--port=0");
+    args.push_back("--down-after=2");
+    args.push_back("--retry-ms=200");
+    if (!Spawn(router, args, child)) return false;
+    std::fprintf(stderr, "router pid %d port %u\n",
+                 static_cast<int>(child->pid()),
+                 static_cast<unsigned>(child->port()));
+    return true;
+  }
+};
+
 /// The --replication scenario: kNumShards primary+replica sets behind a
 /// replica-aware router, oracle/insert rounds, the kill-primary chaos
 /// round, post-failover fenced mutations, and the rejoin-and-converge
-/// round.
-int ReplicationMain(const std::string& serve, const std::string& router,
-                    const std::string& work_dir, int tuples, int dims,
-                    uint64_t seed) {
-  const std::vector<std::string> source_args = {
-      "--synthetic",
-      "--tuples=" + std::to_string(tuples),
-      "--dims=" + std::to_string(dims),
-      "--seed=" + std::to_string(seed),
-      "--truncate=4",
-  };
-  SyntheticSpec spec;
-  spec.distribution = DistributionFromName("independent");
-  spec.num_objects = static_cast<size_t>(tuples);
-  spec.num_dims = dims;
-  spec.seed = seed;
-  spec.truncate_decimals = 4;
-  Oracle oracle(GenerateSynthetic(spec));
-  const HashRing ring(kNumShards, /*seed=*/0, /*vnodes=*/64);
-
-  std::vector<Child> primaries(kNumShards);
-  std::vector<Child> replicas(kNumShards);
+/// round. Every child is killed and reaped when the scenario returns.
+void RunReplicationScenario(const Scenario& scenario, Oracle* oracle,
+                            const HashRing& ring) {
+  const std::string& work_dir = scenario.work_dir;
+  const int dims = scenario.dims;
+  std::vector<harness::Child> primaries(kNumShards);
+  std::vector<harness::Child> replicas(kNumShards);
   std::string endpoints;
   for (size_t s = 0; s < kNumShards; ++s) {
-    std::vector<std::string> primary_args = source_args;
-    primary_args.push_back("--shard-count=" + std::to_string(kNumShards));
-    primary_args.push_back("--shard-index=" + std::to_string(s));
-    primary_args.push_back("--ring-seed=0");
-    primary_args.push_back("--data-dir=" + work_dir + "/shard-" +
-                           std::to_string(s) + "-primary");
-    primary_args.push_back("--port=0");
-    primaries[s] = Spawn(serve, primary_args);
+    const std::string shard_dir = work_dir + "/shard-" + std::to_string(s);
+    if (!Spawn(scenario.serve, scenario.ShardArgs(s, shard_dir + "-primary"),
+               &primaries[s])) {
+      return;
+    }
     // The replica's whole state comes from the primary's snapshot + WAL;
     // it takes no dataset or shard-filter flags.
     const std::vector<std::string> replica_args = {
-        "--data-dir=" + work_dir + "/shard-" + std::to_string(s) +
-            "-replica",
-        "--replica-of=127.0.0.1:" + std::to_string(primaries[s].port),
+        "--data-dir=" + shard_dir + "-replica",
+        "--replica-of=127.0.0.1:" + std::to_string(primaries[s].port()),
         "--port=0",
     };
-    replicas[s] = Spawn(serve, replica_args);
+    if (!Spawn(scenario.serve, replica_args, &replicas[s])) return;
     if (s > 0) endpoints += ',';
-    endpoints += "127.0.0.1:" + std::to_string(primaries[s].port) +
-                 "+127.0.0.1:" + std::to_string(replicas[s].port);
+    endpoints += "127.0.0.1:" + std::to_string(primaries[s].port()) +
+                 "+127.0.0.1:" + std::to_string(replicas[s].port());
     std::fprintf(stderr, "shard %zu primary pid %d port %u, replica pid %d "
                  "port %u\n",
-                 s, static_cast<int>(primaries[s].pid),
-                 static_cast<unsigned>(primaries[s].port),
-                 static_cast<int>(replicas[s].pid),
-                 static_cast<unsigned>(replicas[s].port));
+                 s, static_cast<int>(primaries[s].pid()),
+                 static_cast<unsigned>(primaries[s].port()),
+                 static_cast<int>(replicas[s].pid()),
+                 static_cast<unsigned>(replicas[s].port()));
   }
+  harness::Child router_child;
+  if (!scenario.SpawnRouter(endpoints, &router_child)) return;
+  const uint16_t router_port = router_child.port();
 
-  std::vector<std::string> router_args = source_args;
-  router_args.push_back("--shards=" + endpoints);
-  router_args.push_back("--ring-seed=0");
-  router_args.push_back("--port=0");
-  router_args.push_back("--down-after=2");
-  router_args.push_back("--retry-ms=200");
-  Child router_child = Spawn(router, router_args);
-  std::fprintf(stderr, "router pid %d port %u\n",
-               static_cast<int>(router_child.pid),
-               static_cast<unsigned>(router_child.port));
-
-  if (RunOracleRound(router_child.port, oracle, dims, "oracle")) {
+  if (RunOracleRound(router_port, *oracle, dims, "oracle")) {
     std::fprintf(stderr, "PASS oracle round (replicated)\n");
   }
-  if (g_failures == 0 && RunInsertRound(router_child.port, &oracle, dims)) {
+  if (g_failures == 0 && RunInsertRound(router_port, oracle, dims)) {
     std::fprintf(stderr, "PASS insert round (replicated)\n");
   }
   // Make the acked-prefix oracle deterministic: every replica at its
   // primary's tip before the kill.
   for (size_t s = 0; s < kNumShards && g_failures == 0; ++s) {
-    if (!WaitCaughtUp(primaries[s].port, replicas[s].port, 30000)) {
+    if (!WaitCaughtUp(primaries[s].port(), replicas[s].port(), 30000)) {
       std::fprintf(stderr, "FAIL shard %zu replica never caught up\n", s);
       ++g_failures;
     }
   }
   constexpr size_t kVictim = 1;
   if (g_failures == 0 &&
-      RunReplicationChaosRound(router_child.port, &primaries[kVictim],
-                               replicas[kVictim].port, kVictim, oracle,
+      RunReplicationChaosRound(router_port, &primaries[kVictim],
+                               replicas[kVictim].port(), kVictim, *oracle,
                                ring, dims)) {
     std::fprintf(stderr, "PASS replication chaos round\n");
   }
   // Fenced mutations through the promoted primary (its fence degrades to
   // async instantly while it has no follower of its own).
-  if (g_failures == 0 && RunInsertRound(router_child.port, &oracle, dims)) {
+  if (g_failures == 0 && RunInsertRound(router_port, oracle, dims)) {
     std::fprintf(stderr, "PASS post-failover insert round\n");
   }
   if (g_failures == 0 &&
-      RunOracleRound(router_child.port, oracle, dims,
-                     "post-failover-insert")) {
+      RunOracleRound(router_port, *oracle, dims, "post-failover-insert")) {
     std::fprintf(stderr, "PASS post-failover oracle round\n");
   }
   if (g_failures == 0) {
     const std::vector<std::string> rejoin_args = {
         "--data-dir=" + work_dir + "/shard-" + std::to_string(kVictim) +
             "-primary",
-        "--replica-of=127.0.0.1:" + std::to_string(replicas[kVictim].port),
+        "--replica-of=127.0.0.1:" + std::to_string(replicas[kVictim].port()),
         "--port=0",
     };
-    if (RunRejoinRound(serve, rejoin_args, &primaries[kVictim],
-                       replicas[kVictim].port, dims)) {
+    if (RunRejoinRound(scenario.serve, rejoin_args, &primaries[kVictim],
+                       replicas[kVictim].port(), dims)) {
       std::fprintf(stderr, "PASS rejoin round (old primary converged as "
                    "replica)\n");
     }
   }
+}
 
-  kill(router_child.pid, SIGTERM);
-  Reap(&router_child);
-  for (Child& child : primaries) {
-    if (child.pid > 0) kill(child.pid, SIGTERM);
-    Reap(&child);
+/// The sharding scenario: kNumShards shards behind the router, the oracle
+/// and insert rounds, then one shard SIGKILLed (degradation) and respawned
+/// (recovery). Every child is killed and reaped when the scenario returns.
+void RunShardingScenario(const Scenario& scenario, Oracle* oracle,
+                         const HashRing& ring) {
+  const int dims = scenario.dims;
+  std::vector<harness::Child> shards(kNumShards);
+  std::vector<std::vector<std::string>> shard_args(kNumShards);
+  std::string endpoints;
+  for (size_t s = 0; s < kNumShards; ++s) {
+    shard_args[s] = scenario.ShardArgs(
+        s, scenario.work_dir + "/shard-" + std::to_string(s));
+    if (!Spawn(scenario.serve, shard_args[s], &shards[s])) return;
+    if (s > 0) endpoints += ',';
+    endpoints += "127.0.0.1:" + std::to_string(shards[s].port());
+    std::fprintf(stderr, "shard %zu pid %d port %u\n", s,
+                 static_cast<int>(shards[s].pid()),
+                 static_cast<unsigned>(shards[s].port()));
   }
-  for (Child& child : replicas) {
-    if (child.pid > 0) kill(child.pid, SIGTERM);
-    Reap(&child);
-  }
+  harness::Child router_child;
+  if (!scenario.SpawnRouter(endpoints, &router_child)) return;
+  const uint16_t router_port = router_child.port();
 
-  if (g_failures > 0) {
-    std::fprintf(stderr, "skycube_shardtest --replication: %d failure(s)\n",
-                 g_failures);
-    return 1;
+  if (RunOracleRound(router_port, *oracle, dims, "oracle")) {
+    std::fprintf(stderr, "PASS oracle round\n");
   }
-  std::fprintf(stderr, "skycube_shardtest --replication: all rounds "
-               "passed\n");
-  return 0;
+  if (RunInsertRound(router_port, oracle, dims)) {
+    std::fprintf(stderr, "PASS insert round\n");
+  }
+  if (g_failures == 0 &&
+      RunOracleRound(router_port, *oracle, dims, "post-insert")) {
+    std::fprintf(stderr, "PASS post-insert oracle round\n");
+  }
+  constexpr size_t kVictim = 1;
+  if (g_failures == 0 &&
+      RunDegradationRound(router_port, &shards[kVictim], kVictim, *oracle,
+                          ring, dims)) {
+    std::fprintf(stderr, "PASS degradation round\n");
+  }
+  if (g_failures == 0) {
+    // Respawn on the old port so the router's configured endpoint revives.
+    std::vector<std::string> respawn_args = shard_args[kVictim];
+    respawn_args.back() = "--port=" + std::to_string(shards[kVictim].port());
+    const uint16_t old_port = shards[kVictim].port();
+    if (RunRecoveryRound(router_port, scenario.serve, respawn_args,
+                         &shards[kVictim], *oracle, dims)) {
+      std::fprintf(stderr, "PASS recovery round (shard back on port %u)\n",
+                   static_cast<unsigned>(old_port));
+    }
+  }
 }
 
 int Main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
-  const std::string serve = flags.GetString("serve", "");
-  const std::string router = flags.GetString("router", "");
-  const std::string work_dir = flags.GetString("work-dir", "");
-  if (serve.empty() || router.empty() || work_dir.empty()) {
+  Scenario scenario;
+  scenario.serve = flags.GetString("serve", "");
+  scenario.router = flags.GetString("router", "");
+  scenario.work_dir = flags.GetString("work-dir", "");
+  if (scenario.serve.empty() || scenario.router.empty() ||
+      scenario.work_dir.empty()) {
     std::fprintf(stderr,
                  "usage: skycube_shardtest --serve=PATH --router=PATH "
                  "--work-dir=DIR\n");
     return 2;
   }
   const int tuples = static_cast<int>(flags.GetInt("tuples", 500));
-  const int dims = static_cast<int>(flags.GetInt("dims", 4));
+  scenario.dims = static_cast<int>(flags.GetInt("dims", 4));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 29));
-
-  std::error_code ec;
-  std::filesystem::remove_all(work_dir, ec);
-  std::filesystem::create_directories(work_dir, ec);
-
-  if (flags.GetBool("replication", false)) {
-    return ReplicationMain(serve, router, work_dir, tuples, dims, seed);
-  }
-
-  // The shared synthetic spec: shards filter it by ring ownership, the
-  // router and the oracle load it whole. Must agree everywhere.
-  const std::vector<std::string> source_args = {
+  scenario.source_args = {
       "--synthetic",
       "--tuples=" + std::to_string(tuples),
-      "--dims=" + std::to_string(dims),
+      "--dims=" + std::to_string(scenario.dims),
       "--seed=" + std::to_string(seed),
       "--truncate=4",
   };
   SyntheticSpec spec;
   spec.distribution = DistributionFromName("independent");
   spec.num_objects = static_cast<size_t>(tuples);
-  spec.num_dims = dims;
+  spec.num_dims = scenario.dims;
   spec.seed = seed;
   spec.truncate_decimals = 4;
   Oracle oracle(GenerateSynthetic(spec));
   const HashRing ring(kNumShards, /*seed=*/0, /*vnodes=*/64);
 
-  std::vector<Child> shards(kNumShards);
-  std::vector<std::vector<std::string>> shard_args(kNumShards);
-  std::string endpoints;
-  for (size_t s = 0; s < kNumShards; ++s) {
-    shard_args[s] = source_args;
-    shard_args[s].push_back("--shard-count=" + std::to_string(kNumShards));
-    shard_args[s].push_back("--shard-index=" + std::to_string(s));
-    shard_args[s].push_back("--ring-seed=0");
-    shard_args[s].push_back("--data-dir=" + work_dir + "/shard-" +
-                            std::to_string(s));
-    shard_args[s].push_back("--port=0");
-    shards[s] = Spawn(serve, shard_args[s]);
-    endpoints += (s == 0 ? "" : ",") + std::string("127.0.0.1:") +
-                 std::to_string(shards[s].port);
-    std::fprintf(stderr, "shard %zu pid %d port %u\n", s,
-                 static_cast<int>(shards[s].pid),
-                 static_cast<unsigned>(shards[s].port));
-  }
+  std::error_code ec;
+  std::filesystem::remove_all(scenario.work_dir, ec);
+  std::filesystem::create_directories(scenario.work_dir, ec);
 
-  std::vector<std::string> router_args = source_args;
-  router_args.push_back("--shards=" + endpoints);
-  router_args.push_back("--ring-seed=0");
-  router_args.push_back("--port=0");
-  router_args.push_back("--down-after=2");
-  router_args.push_back("--retry-ms=200");
-  Child router_child = Spawn(router, router_args);
-  std::fprintf(stderr, "router pid %d port %u\n",
-               static_cast<int>(router_child.pid),
-               static_cast<unsigned>(router_child.port));
-
-  if (RunOracleRound(router_child.port, oracle, dims, "oracle")) {
-    std::fprintf(stderr, "PASS oracle round\n");
+  const bool replication = flags.GetBool("replication", false);
+  if (replication) {
+    RunReplicationScenario(scenario, &oracle, ring);
+  } else {
+    RunShardingScenario(scenario, &oracle, ring);
   }
-  if (RunInsertRound(router_child.port, &oracle, dims)) {
-    std::fprintf(stderr, "PASS insert round\n");
-  }
-  if (g_failures == 0 &&
-      RunOracleRound(router_child.port, oracle, dims, "post-insert")) {
-    std::fprintf(stderr, "PASS post-insert oracle round\n");
-  }
-  constexpr size_t kVictim = 1;
-  if (g_failures == 0 &&
-      RunDegradationRound(router_child.port, &shards[kVictim], kVictim,
-                          oracle, ring, dims)) {
-    std::fprintf(stderr, "PASS degradation round\n");
-  }
-  if (g_failures == 0) {
-    // Respawn on the old port so the router's configured endpoint revives.
-    std::vector<std::string> respawn_args = shard_args[kVictim];
-    respawn_args.back() = "--port=" + std::to_string(shards[kVictim].port);
-    const uint16_t old_port = shards[kVictim].port;
-    if (RunRecoveryRound(router_child.port, serve, respawn_args,
-                         &shards[kVictim], oracle, dims)) {
-      std::fprintf(stderr, "PASS recovery round (shard back on port %u)\n",
-                   static_cast<unsigned>(old_port));
-    }
-  }
-
-  kill(router_child.pid, SIGTERM);
-  Reap(&router_child);
-  for (Child& shard : shards) {
-    if (shard.pid > 0) kill(shard.pid, SIGTERM);
-    Reap(&shard);
-  }
-
+  const char* name =
+      replication ? "skycube_shardtest --replication" : "skycube_shardtest";
   if (g_failures > 0) {
-    std::fprintf(stderr, "skycube_shardtest: %d failure(s)\n", g_failures);
+    std::fprintf(stderr, "%s: %d failure(s)\n", name, g_failures);
     return 1;
   }
-  std::fprintf(stderr, "skycube_shardtest: all rounds passed\n");
+  std::fprintf(stderr, "%s: all rounds passed\n", name);
   return 0;
 }
 
